@@ -65,9 +65,6 @@ class TruncatedSeries:
         lifted = poly.lift(variables) if poly.vars != tuple(variables) else poly
         return cls(variables, window, lifted.terms)
 
-    def monomial(self, exps, coeff=1) -> "TruncatedSeries":
-        return TruncatedSeries(self.vars, self.window, {tuple(exps): coeff})
-
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other):
@@ -147,15 +144,6 @@ class TruncatedSeries:
 
     def __bool__(self):
         return bool(self.terms)
-
-    # -- windows ------------------------------------------------------------------
-
-    def with_window(self, name, lo, hi) -> "TruncatedSeries":
-        """Narrow (or change) one variable's window, re-truncating the terms."""
-        idx = self.vars.index(name)
-        window = list(self.window)
-        window[idx] = (lo, hi)
-        return TruncatedSeries(self.vars, window, self.terms)
 
     # -- extraction -----------------------------------------------------------------
 

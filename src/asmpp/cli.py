@@ -29,7 +29,7 @@ from .verify import SUITES, run_verify
 ENUM_LIMITS = {"asm": 7, "nilp": 7, "tsscpp": 7}
 GENFUN_LIMITS = {
     "asm-tilde": 7, "asm-reversed": 7, "nilp": 7, "lgv": 7,
-    "integral-A": 5, "integral-U": 5, "integral-I": 5,
+    "integral-A": 6, "integral-U": 6, "integral-I": 6,
 }
 
 
@@ -38,17 +38,23 @@ class UsageError(Exception):
 
 
 def _parse_n_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return int(lo), int(hi)
+        n = int(text)
+        return n, n
+    except ValueError:
+        raise UsageError(f"--n must be N or A..B with integers (got {text!r})")
 
 
 def _emit(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -134,6 +140,8 @@ def _is_number(token):
         return True
     except ValueError:
         return False
+    except ZeroDivisionError:
+        raise UsageError(f"weight {token!r} divides by zero")
 
 
 def cmd_genfun(args):
@@ -162,9 +170,9 @@ def cmd_genfun(args):
         poly = GenPoly(n)
         if isinstance(result, MultiPoly):
             for exps, coeff in result.terms.items():
-                poly.add_term(exps[0], exps[1], int(Fraction(coeff)))
+                poly.add_term(exps[0], exps[1], _integer_count(coeff))
         else:
-            poly.add_term(0, 0, int(Fraction(result)))
+            poly.add_term(0, 0, _integer_count(result))
         labels = tuple(symbols) + ("x", "y")[len(symbols):]
         labels = labels[:2]
     matrix = poly.coefficient_matrix()
@@ -187,6 +195,14 @@ def cmd_genfun(args):
     return 0
 
 
+def _integer_count(coeff):
+    value = Fraction(coeff)
+    if value.denominator != 1:
+        raise UsageError(f"lgv coefficient {value} is not an integer; "
+                         "the weights must give integer counts")
+    return int(value)
+
+
 def _parse_avec(text, n):
     if text is None:
         return [Fraction(0)] * (n - 1)
@@ -195,7 +211,10 @@ def _parse_avec(text, n):
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != n - 1:
         raise UsageError(f"--a needs {n - 1} entries (or the single token 'y(1-y)')")
-    return [Fraction(t) for t in tokens]
+    try:
+        return [Fraction(t) for t in tokens]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--a entries must be rationals (got {text!r})")
 
 
 # -- verify ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .algebra.series import (
     ContourSideError,
     geometric_mul,
     positive_valuation,
-    residue_at_zero,
 )
 from .genpoly import GenPoly
 
@@ -81,6 +80,7 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
     rank = {v: i for i, v in enumerate(order)}
 
     # validate factor exponents: nonnegative in every contour variable
+    lifted_factors = []
     for kind, p in spec.factors:
         lifted = p.lift(all_vars) if p.vars != all_vars else p
         for exps in lifted.terms:
@@ -90,14 +90,15 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
             raise ContourSideError(
                 "geometric factor has a constant term in the contour variables"
             )
+        lifted_factors.append((kind, p, lifted))
 
     # a factor is multiplied in just before its earliest-integrated variable
     stages = [[] for _ in order]
     tail = []
-    for kind, p in spec.factors:
+    for kind, p, lifted in lifted_factors:
         idxs = [rank[v] for v in u_vars if v in p.vars and p.degree(v) > 0]
         if idxs:
-            stages[min(idxs)].append((kind, p))
+            stages[min(idxs)].append((kind, lifted))
         else:
             tail.append((kind, p))
 
@@ -105,27 +106,17 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
     # nonnegative), so only terms at exponent <= -1 can still reach the
     # residue: cap every contour window at min(hi, -1) from the start.
     cap = min(hi, -1)
-    variables = all_vars
-    window = [
-        (-spec.denom_powers.get(v, 0), cap) if v in u_vars else (0, None)
-        for v in variables
-    ]
-    start = {
-        tuple(-spec.denom_powers.get(v, 0) if v in u_vars else 0 for v in variables): 1
-    }
-    series = TruncatedSeries(variables, window, start)
+    for v in order:
+        if spec.denom_powers.get(v, 0) < 1:
+            raise ValueError(f"window for {v} does not include exponent -1")
+    starts = [-spec.denom_powers[v] for v in u_vars]
+    if any(s > cap for s in starts):
+        terms = {}  # the start term already lies past its window
+    else:
+        cols = [u_vars.index(v) for v in order]
+        terms = _packed_residue(len(all_vars), starts, cap, cols, stages)
 
-    remaining = list(order)
-    for stage_idx, v in enumerate(order):
-        for kind, p in stages[stage_idx]:
-            if kind == "poly":
-                series = series.mul_poly(p)
-            else:
-                series = geometric_mul(series, p, remaining)
-        series = residue_at_zero(series, v)
-        remaining.remove(v)
-
-    result = series.to_poly()
+    result = MultiPoly(spec.coeff_vars, terms)
     for kind, p in tail:
         if kind != "poly":
             raise ContourSideError("geometric factor without contour variables")
@@ -136,6 +127,82 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
         )
         result = result * projected
     return result
+
+
+def _packed_residue(nvars, starts, cap, cols, stages):
+    """The residue loop of iterated_residue on packed exponent vectors.
+
+    A term's exponent vector is one int with a (k+1)-bit field per variable
+    (contour variables first).  A contour field holds e - cap + 2**k - 1, so
+    an exponent past the cap sets the field's top (guard) bit; k is wide
+    enough for every exponent from the start up to the cap and for every
+    factor exponent, so adding a factor term never carries into the next
+    field.  A coefficient field holds the plain exponent, with k sized from
+    a degree bound: each geometric power raises the total contour degree by
+    at least 1, so at most sum(cap - start) of them fit in the windows.
+
+    starts: start exponent per contour variable; cols: the column of each
+    stage's variable; stages: per stage, ("poly" | "geom", factor lifted
+    to all variables).  Returns {coefficient exponents: coefficient}.
+    """
+    nu = len(starts)
+    budget = sum(cap - s for s in starts)
+    span = [cap - s for s in starts] + [0] * (nvars - nu)
+    top = [0] * nvars
+    for stage in stages:
+        for kind, lifted in stage:
+            for i, column in enumerate(zip(*lifted.terms)):
+                e = max(column)
+                top[i] = max(top[i], e)
+                if i >= nu:
+                    span[i] += e * budget if kind == "geom" else e
+    widths = [max(s, t).bit_length() for s, t in zip(span, top)]
+    offs = []
+    off = 0
+    for k in widths:
+        offs.append(off)
+        off += k + 1
+    lims = [1 << k for k in widths]
+    guard = sum(lim << o for lim, o in zip(lims, offs))
+    contour_guard = sum(lim << o for lim, o in zip(lims[:nu], offs))
+
+    def pack(lifted):
+        return [(sum(e << o for e, o in zip(exps, offs)), c)
+                for exps, c in lifted.terms.items()]
+
+    terms = {sum((s - cap + lim - 1) << o for s, lim, o in zip(starts, lims, offs)): 1}
+    for col, stage in zip(cols, stages):
+        for kind, lifted in stage:
+            factor = pack(lifted)
+            if kind == "poly":
+                terms = _packed_mul(terms, factor, guard, contour_guard)
+                continue
+            acc = terms
+            while acc:
+                acc = _packed_mul(acc, factor, guard, contour_guard)
+                for key, c in acc.items():
+                    terms[key] = terms.get(key, 0) + c
+            terms = {key: c for key, c in terms.items() if c}
+        lim, o = lims[col], offs[col]
+        mask, code = (2 * lim - 1) << o, (lim - 2 - cap) << o  # the code of -1
+        terms = {key: c for key, c in terms.items() if key & mask == code}
+    coeff = [(offs[i], lims[i] - 1) for i in range(nu, nvars)]
+    return {tuple((key >> o) & m for o, m in coeff): c for key, c in terms.items()}
+
+
+def _packed_mul(terms, factor, guard, contour_guard):
+    """terms * factor, dropping products past a contour cap."""
+    out = {}
+    get = out.get
+    for k1, c1 in terms.items():
+        for k2, c2 in factor:
+            key = k1 + k2
+            if key & guard:
+                if key & contour_guard:
+                    continue
+                raise OverflowError("coefficient exponent exceeds its degree bound")
+            out[key] = get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 def _uvar(i):

@@ -99,8 +99,3 @@ class GenPoly:
 
     def to_json_dict(self):
         return {f"({i},{j})": c for (i, j), c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_string_terms(cls, n, terms, convention="tilde"):
-        """Build from {(i,j): coeff}; convenience for frozen test values."""
-        return cls(n, dict(terms), convention)

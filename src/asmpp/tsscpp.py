@@ -182,11 +182,6 @@ def nilp_to_tsscpp(p: Nilp) -> Tsscpp:
     return from_triangle(n, tri)
 
 
-def tsscpp_nilp_roundtrip(a: Tsscpp) -> Nilp:
-    """Forward bijection; `nilp_to_tsscpp` is its inverse."""
-    return tsscpp_to_nilp(a)
-
-
 def enumerate_tsscpps(n: int):
     """TSSCPPs in deterministic order, via the inverse bijection."""
     from .nilp import enumerate_nilps

@@ -178,7 +178,7 @@ def suite_bijections(n, seed, samples):
     witness = None
     for a in enumerate_asms(n):
         count += 1
-        if six_vertex_to_asm(asm_to_six_vertex(a)) != a:
+        if asm_rt and six_vertex_to_asm(asm_to_six_vertex(a)) != a:
             asm_rt = False
             witness = a.to_rows()
     checks = [
@@ -192,7 +192,7 @@ def suite_bijections(n, seed, samples):
     witness = None
     for p in enumerate_nilps(n):
         count += 1
-        if tsscpp_to_nilp(nilp_to_tsscpp(p)) != p:
+        if path_rt and tsscpp_to_nilp(nilp_to_tsscpp(p)) != p:
             path_rt = False
             witness = p.to_json_dict()
     checks.append(_check("path-bundle-count", n, asm_count_formula(n), count))
@@ -212,7 +212,7 @@ def suite_involutions(n, seed, samples):
     for k in range(1, n - 1):
         for p in objs:
             q = involution_g(p, k)
-            if (involution_g(q, k) != p
+            if ok_g and (involution_g(q, k) != p
                     or u_statistic(q, k) != u_statistic(p, k + 1)
                     or u_statistic(q, k + 1) != u_statistic(p, k)):
                 ok_g = False
@@ -224,12 +224,11 @@ def suite_involutions(n, seed, samples):
     h_witness = None
     for p in objs:
         q = involution_h(p)
-        if involution_h(q) != p or (n >= 2 and q.steps[1] != p.steps[1]):
+        if (involution_h(q) != p or (n >= 2 and q.steps[1] != p.steps[1])
+                or u_statistic(q, 0) != (n - 1) - u_statistic(p, 1)):
             ok_h = False
             h_witness = p.to_json_dict()
-        if u_statistic(q, 0) != (n - 1) - u_statistic(p, 1):
-            ok_h = False
-            h_witness = p.to_json_dict()
+            break
     checks.append({"check": "top-swap-involution", "n": n,
                    "expected": "involution", "got": "involution" if ok_h else "broken",
                    "pass": ok_h, **({"witness": h_witness} if h_witness else {})})
@@ -248,24 +247,24 @@ def suite_involutions(n, seed, samples):
 def suite_mrr(n, seed, samples):
     pairs = [(p, nilp_to_tsscpp(p)) for p in enumerate_nilps(n)]
     checks = []
-    forms_ok = True
-    stats_ok = True
-    witness = None
+    forms_witness = None
+    stats_witness = None
     for p, a in pairs:
-        for k in range(1, n + 2):
-            if mrr_u_statistic(a, k) != mrr_u_statistic_upper_left(a, k):
-                forms_ok = False
-                witness = a.to_rows()
-        for k in range(1, n + 1):
-            if mrr_u_statistic(a, k) != u_statistic(p, k):
-                stats_ok = False
-                witness = a.to_rows()
+        if forms_witness is None and any(
+                mrr_u_statistic(a, k) != mrr_u_statistic_upper_left(a, k)
+                for k in range(1, n + 2)):
+            forms_witness = a.to_rows()
+        if stats_witness is None and any(
+                mrr_u_statistic(a, k) != u_statistic(p, k) for k in range(1, n + 1)):
+            stats_witness = a.to_rows()
+    forms_ok = forms_witness is None
+    stats_ok = stats_witness is None
     checks.append({"check": "array-formula-agreement", "n": n,
                    "expected": "equal", "got": "equal" if forms_ok else "differ",
-                   "pass": forms_ok, **({"witness": witness} if witness else {})})
+                   "pass": forms_ok, **({} if forms_ok else {"witness": forms_witness})})
     checks.append({"check": "array-vs-path-statistics", "n": n,
                    "expected": "equal", "got": "equal" if stats_ok else "differ",
-                   "pass": stats_ok, **({"witness": witness} if witness else {})})
+                   "pass": stats_ok, **({} if stats_ok else {"witness": stats_witness})})
     flip = Counter((n - 1) - mrr_u_statistic(a, n + 1) for _, a in pairs)
     u0 = Counter(u_statistic(p, 0) for p, _ in pairs)
     checks.append(_check("extra-step-multiset", n, sorted(u0.items()),
@@ -335,10 +334,15 @@ def run_verify(suite, n_range=None, seed=0, samples=None, workers=1):
         raise ValueError(f"suite {suite} is limited to n <= {limit}")
     if lo < 1:
         raise ValueError("n must be >= 1")
+    if max(lo, default_range[0]) > hi:
+        raise ValueError(f"n range {lo}..{hi} is empty for suite {suite}, "
+                         f"which needs {default_range[0]} <= n <= {limit}")
     lo = max(lo, default_range[0])  # suites with n >= 2 preconditions
+    if samples is not None and samples < 0:
+        raise ValueError("samples must be >= 0")
     tasks = [(suite, n, seed, samples) for n in range(lo, hi + 1)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]

@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+from asmpp import verify
+from asmpp.asm import enumerate_asms
 from asmpp.cli import main
+from asmpp.nilp import enumerate_nilps
+from asmpp.tsscpp import nilp_to_tsscpp
 
 
 def run_cli(*argv):
@@ -65,7 +69,7 @@ def test_genfun_csv_format():
 
 
 def test_genfun_integral_limit():
-    code, _ = run_cli("genfun", "integral-A", "--n", "6")
+    code, _ = run_cli("genfun", "integral-A", "--n", "7")
     assert code == 2
 
 
@@ -130,3 +134,96 @@ def test_every_spec_suite_exists():
                             "--samples", "2")
         assert code == 0, suite
         assert json.loads(out)["pass"] is True, suite
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "dyck", "--n", "3..x"),
+    ("genfun", "integral-I", "--n", "3", "--a", "1/0,2"),
+    ("genfun", "asm-tilde", "--n", "3", "--out", "/nonexistent/f"),
+    ("verify", "dyck", "--n", "1..2", "--samples", "-1"),
+    ("verify", "wheel", "--n", "1..1"),
+    ("genfun", "lgv", "--n", "3", "--weights", "1/3,1/3,1"),
+    ("genfun", "lgv", "--n", "3", "--weights", "t,1/0,1"),
+])
+def test_bad_input_is_a_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_lgv_integer_weights_keep_their_counts():
+    code, out = run_cli("genfun", "lgv", "--n", "3", "--weights", "1,1,1")
+    assert code == 0
+    assert json.loads(out)["total"] == 7
+
+
+# -- the verifier can fail, and reports the first failing object -------------
+
+BROKEN = object()
+
+
+def _break(monkeypatch, module, name, targets):
+    """Make module.name return BROKEN on each target (and on BROKEN)."""
+    real = getattr(module, name)
+
+    def broken(obj, *args):
+        if obj is BROKEN or any(obj == t for t in targets):
+            return BROKEN
+        return real(obj, *args)
+    monkeypatch.setattr(module, name, broken)
+
+
+def _failed_checks(argv):
+    code, out = run_cli(*argv)
+    assert code == 1
+    report = json.loads(out)
+    return {c["check"]: c for c in report["checks"] if not c["pass"]}
+
+
+@pytest.mark.parametrize("picks", [(5,), (2, 5)])
+def test_bijection_failure_names_the_first_broken_asm(monkeypatch, picks):
+    from asmpp import sixvertex
+    asms = list(enumerate_asms(3))
+    _break(monkeypatch, sixvertex, "six_vertex_to_asm",
+           [sixvertex.asm_to_six_vertex(asms[i]) for i in picks])
+    failed = _failed_checks(("verify", "bijections", "--n", "3"))
+    assert list(failed) == ["asm-vertex-roundtrip"]
+    assert failed["asm-vertex-roundtrip"]["witness"] == asms[picks[0]].to_rows()
+
+
+@pytest.mark.parametrize("picks", [(4,), (1, 4)])
+def test_path_bijection_failure_names_the_first_broken_bundle(monkeypatch, picks):
+    paths = list(enumerate_nilps(3))
+    _break(monkeypatch, verify, "tsscpp_to_nilp",
+           [nilp_to_tsscpp(paths[i]) for i in picks])
+    failed = _failed_checks(("verify", "bijections", "--n", "3"))
+    assert list(failed) == ["tsscpp-path-roundtrip"]
+    assert failed["tsscpp-path-roundtrip"]["witness"] == paths[picks[0]].to_json_dict()
+
+
+@pytest.mark.parametrize("picks", [(6,), (3, 6)])
+def test_involution_failures_name_the_first_broken_bundle(monkeypatch, picks):
+    paths = list(enumerate_nilps(4))
+    targets = [paths[i] for i in picks]
+    _break(monkeypatch, verify, "involution_h", targets)
+    _break(monkeypatch, verify, "involution_g", targets)
+    failed = _failed_checks(("verify", "involutions", "--n", "4"))
+    assert sorted(failed) == ["slice-swap-involution", "top-swap-involution"]
+    assert failed["top-swap-involution"]["witness"] == targets[0].to_json_dict()
+    assert failed["slice-swap-involution"]["witness"] == {
+        "row": 1, **targets[0].to_json_dict()}
+
+
+def test_mrr_witness_belongs_to_the_failing_check(monkeypatch):
+    arrays = [nilp_to_tsscpp(p) for p in enumerate_nilps(3)]
+    real = verify.mrr_u_statistic_upper_left
+    monkeypatch.setattr(
+        verify, "mrr_u_statistic_upper_left",
+        lambda a, k: real(a, k) + (a == arrays[2]))
+    code, out = run_cli("verify", "mrr", "--n", "3")
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["array-formula-agreement"]["witness"] == arrays[2].to_rows()
+    assert checks["array-vs-path-statistics"]["pass"]
+    assert "witness" not in checks["array-vs-path-statistics"]

@@ -4,8 +4,14 @@ from random import Random
 
 import pytest
 
+from asmpp import contour
 from asmpp.algebra.poly import MultiPoly
-from asmpp.algebra.series import ContourSideError
+from asmpp.algebra.series import (
+    ContourSideError,
+    TruncatedSeries,
+    geometric_mul,
+    residue_at_zero,
+)
 from asmpp.asm import genfun_doubly_refined
 from asmpp.contour import (
     IntegrandSpec,
@@ -133,3 +139,132 @@ def test_homogeneous_limit():
     for n in (1, 2, 3):
         rep = homogeneous_limit_check(n)
         assert rep["pass"], rep
+
+
+# -- the packed kernel against a reference built from TruncatedSeries --------
+
+def reference_residue(spec, order=None, hi=None):
+    """iterated_residue as a loop over public TruncatedSeries operations."""
+    u_vars = tuple(spec.u_vars)
+    order = tuple(reversed(u_vars)) if order is None else tuple(order)
+    hi = 2 * len(u_vars) if hi is None else hi
+    all_vars = spec.all_vars()
+    rank = {v: i for i, v in enumerate(order)}
+    stages = [[] for _ in order]
+    tail = []
+    for kind, p in spec.factors:
+        idxs = [rank[v] for v in u_vars if v in p.vars and p.degree(v) > 0]
+        (stages[min(idxs)] if idxs else tail).append((kind, p))
+    cap = min(hi, -1)
+    starts = [-spec.denom_powers.get(v, 0) for v in u_vars] + [0] * len(spec.coeff_vars)
+    window = [(s, cap) for s in starts[:len(u_vars)]] + [(0, None)] * len(spec.coeff_vars)
+    series = TruncatedSeries(all_vars, window, {tuple(starts): 1})
+    remaining = list(order)
+    for stage, v in zip(stages, order):
+        for kind, p in stage:
+            if kind == "poly":
+                series = series.mul_poly(p)
+            else:
+                series = geometric_mul(series, p, remaining)
+        series = residue_at_zero(series, v)
+        remaining.remove(v)
+    result = series.to_poly()
+    for _, p in tail:
+        result = result * p.align(result.vars)
+    return result
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Route every iterated_residue call through both evaluators."""
+    specs = []
+
+    def both(spec, order=None, hi=None):
+        got = iterated_residue(spec, order=order, hi=hi)
+        assert got == reference_residue(spec, order=order, hi=hi)
+        specs.append(spec)
+        return got
+
+    monkeypatch.setattr(contour, "iterated_residue", both)
+    return specs
+
+
+def _orders_and_his(n, indices):
+    for order in permutations(f"u{i}" for i in indices):
+        for hi in (2 * n, 2 * n + 2, -3):
+            yield list(order), hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_matches_reference_on_integral_routes(against_reference, n):
+    rational = [Fraction(3, 7), Fraction(-2, 5), Fraction(5, 2)][: n - 1]
+    for order, hi in _orders_and_his(n, range(1, n + 1)):
+        integral_U(n, "raw", order=order, hi=hi)
+        zeilid_check(n, Fraction(2, 3), monomial_symmetric(n, (2, 1)[:n]), order=order, hi=hi)
+        if n <= 3:  # the bilinear phi and the limit forms take seconds at n = 4
+            zeilid_check(n, 1, phi_bilinear(n), order=order, hi=hi)
+            homogeneous_limit_check(n, order=order, hi=hi)
+    for order, hi in _orders_and_his(n, range(2, n + 1)):
+        integral_A(n, order=order, hi=hi)
+        integral_U(n, "after-u1", order=order, hi=hi)
+    for order, hi in _orders_and_his(n, range(1, n)):
+        integral_I(n, [a_profile_y1y()] * (n - 1), order=order, hi=hi)
+        integral_I(n, rational, order=order, hi=hi)
+    assert against_reference
+
+
+def test_kernel_window_edges():
+    u, x = ("u1", "u2"), ("x",)
+    variables = u + x
+
+    def poly(terms):
+        return MultiPoly(variables, terms)
+
+    # u1**-3 (1+u1)**2: the u1**2 term lands exactly on exponent -1
+    spec = IntegrandSpec(("u1",), {"u1": 3}, coeff_vars=())
+    spec.add_poly(MultiPoly(("u1",), {(0,): 1, (1,): 2, (2,): 1}))
+    assert iterated_residue(spec, hi=-1) == 1  # at the cap: kept
+    assert iterated_residue(spec, hi=-2) == 0  # one past the cap: dropped
+
+    # u1**9 overshoots a 4-bit field; it must be dropped, not carried into u2
+    spec = IntegrandSpec(u, {"u1": 1, "u2": 2}, coeff_vars=x)
+    spec.add_poly(poly({(0, 0, 0): 1, (9, 0, 0): 1, (0, 1, 1): 1}))
+    spec.add_geom(poly({(1, 1, 1): 1}))
+    assert iterated_residue(spec) == MultiPoly(x, {(1,): 1})
+    assert iterated_residue(spec) == reference_residue(spec)
+
+    # a start term already past its window: hi below -denominator power
+    spec = IntegrandSpec(("u1",), {"u1": 2}, coeff_vars=())
+    assert iterated_residue(spec, hi=-3) == reference_residue(spec, hi=-3) == 0
+
+    # a denominator power of 0 puts exponent -1 outside the window
+    spec = IntegrandSpec(u, {"u1": 2, "u2": 0}, coeff_vars=())
+    for evaluate in (iterated_residue, reference_residue):
+        with pytest.raises(ValueError, match="u2"):
+            evaluate(spec)
+
+
+def test_kernel_coefficient_fields_hold_high_degrees():
+    # u**-3 (1 + x**300 u) / (1 - x**50 u): coefficient of u**2
+    variables = ("u1", "x")
+    spec = IntegrandSpec(("u1",), {"u1": 3}, coeff_vars=("x",))
+    spec.add_poly(MultiPoly(variables, {(0, 0): 1, (1, 300): 1}))
+    spec.add_geom(MultiPoly(variables, {(1, 50): 1}))
+    expected = MultiPoly(("x",), {(100,): 1, (350,): 1})
+    assert iterated_residue(spec) == reference_residue(spec) == expected
+
+
+def test_kernel_refuses_to_wrap_a_coefficient_field():
+    # one 2-bit coefficient field (guard bit 4) with no contour field
+    with pytest.raises(OverflowError):
+        contour._packed_mul({3: 1}, [(1, 1)], guard=4, contour_guard=0)
+
+
+def test_integral_routes_at_n6():
+    tilde = genfun_doubly_refined(6, "tilde")
+    assert integral_A(6) == tilde
+    assert integral_U(6, "raw") == tilde
+    assert integral_U(6, "after-u1") == tilde
+    rational = [Fraction(3, 7), Fraction(-2, 5), Fraction(5, 2), Fraction(-1, 3),
+                Fraction(7, 4)]
+    assert integral_I(6, rational) == tilde
