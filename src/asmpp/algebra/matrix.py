@@ -72,6 +72,16 @@ def determinant(m):
     return result if sign == 1 else -result
 
 
+def perm_sign(perm):
+    """The sign of a permutation of 0..n-1, by counting inversions."""
+    sign = 1
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b]:
+                sign = -sign
+    return sign
+
+
 def determinant_cofactor(m):
     """Cofactor (Laplace) expansion; independent oracle for small matrices."""
     rows = m.rows if isinstance(m, SquareMatrix) else [list(r) for r in m]

@@ -94,19 +94,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         self._check(other)
-        window = self.window
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if not _inside(exps, window):
-                    continue
-                acc = terms.get(exps, 0) + c1 * c2
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        return TruncatedSeries(self.vars, window, terms)
+        return self.mul_poly(MultiPoly(other.vars, other.terms))
 
     def scale(self, coeff) -> "TruncatedSeries":
         if not coeff:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .algebra.matrix import determinant
+from .algebra.matrix import determinant, perm_sign
 
 
 class SingularSampleError(ZeroDivisionError):
@@ -40,15 +40,6 @@ def kernel_f(w, z, q):
     return 1 / (d1 * dq)
 
 
-def _perm_sign(perm):
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
 def bn_brute(n: int, w, z, r):
     """The antisymmetrized sum, all n! terms, exactly."""
     q = r * r
@@ -68,7 +59,7 @@ def bn_brute(n: int, w, z, r):
                     den *= hq(ws[j], z[i], q)
         if not den:
             raise SingularSampleError("denominator vanished in antisymmetrized sum")
-        total += _perm_sign(perm) * num / den
+        total += perm_sign(perm) * num / den
     return total
 
 

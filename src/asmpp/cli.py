@@ -167,12 +167,10 @@ def cmd_genfun(args):
     else:  # lgv
         weights, symbols = _parse_weights(args.weights or ",".join(["1"] * n), n)
         result = lgv_genfun(n, weights)
-        poly = GenPoly(n)
-        if isinstance(result, MultiPoly):
-            for exps, coeff in result.terms.items():
-                poly.add_term(exps[0], exps[1], _integer_count(coeff))
-        else:
-            poly.add_term(0, 0, _integer_count(result))
+        try:
+            poly = GenPoly.from_poly(n, result)
+        except ValueError as exc:
+            raise UsageError(f"lgv {exc}; the weights must give integer counts")
         labels = tuple(symbols) + ("x", "y")[len(symbols):]
         labels = labels[:2]
     matrix = poly.coefficient_matrix()
@@ -193,14 +191,6 @@ def cmd_genfun(args):
             lines.append(" ".join(f"{v:4d}" for v in row))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _integer_count(coeff):
-    value = Fraction(coeff)
-    if value.denominator != 1:
-        raise UsageError(f"lgv coefficient {value} is not an integer; "
-                         "the weights must give integer counts")
-    return int(value)
 
 
 def _parse_avec(text, n):

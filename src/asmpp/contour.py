@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
+from .algebra.matrix import perm_sign
 from .algebra.poly import MultiPoly
 from .algebra.series import (
     TruncatedSeries,
@@ -216,54 +217,66 @@ def _mono(variables, assignment, coeff=1):
     return MultiPoly(variables, {tuple(exps): coeff})
 
 
-def _to_genpoly(n, poly: MultiPoly) -> GenPoly:
-    result = GenPoly(n, convention="tilde")
-    if not isinstance(poly, MultiPoly):
-        result.add_term(0, 0, int(poly))
-        return result
-    ix = poly.vars.index("x") if "x" in poly.vars else None
-    iy = poly.vars.index("y") if "y" in poly.vars else None
-    for exps, coeff in poly.terms.items():
-        c = Fraction(coeff)
-        assert c.denominator == 1, "refined counts must be integers"
-        i = exps[ix] if ix is not None else 0
-        j = exps[iy] if iy is not None else 0
-        result.add_term(i, j, int(c))
-    return result
+def _difference(variables, ua, ub):
+    """u_b - u_a."""
+    return _mono(variables, {ub: 1}) + _mono(variables, {ua: 1}, -1)
+
+
+def _add_qkz_cross(spec, variables, us, tau=1):
+    """The qKZ cross factors (u_m - u_l)(1 + tau u_m + u_m u_l) for every
+    pair with u_l before u_m in us."""
+    for a, ul in enumerate(us):
+        for um in us[a + 1:]:
+            spec.add_poly(_difference(variables, ul, um))
+            spec.add_poly(
+                _mono(variables, {})
+                + _mono(variables, {um: 1}, tau)
+                + _mono(variables, {um: 1, ul: 1})
+            )
+
+
+def _add_cauchy_cross(spec, variables, us):
+    """The Cauchy cross factors (u_j - u_i)/(1 - u_i u_j) for every pair with
+    u_i before u_j in us."""
+    for a, ui in enumerate(us):
+        for uj in us[a + 1:]:
+            spec.add_poly(_difference(variables, ui, uj))
+            spec.add_geom(_mono(variables, {ui: 1, uj: 1}))
+
+
+def _interpolating(n, avec, first, order, hi) -> GenPoly:
+    """The interpolating integral over the n-1 variables u_first, u_first+1,
+    ...: the k-th gets the denominator u**(2k), numerators (1 + u + a_k u**2)
+    and (1 + x u), the factor 1/(1 + u(1-y)) expanded about the origin, and
+    every pair gets the qKZ cross factor."""
+    u = [_uvar(l) for l in range(first, first + n - 1)]
+    variables = tuple(u) + XY
+    spec = IntegrandSpec(
+        u_vars=tuple(u),
+        denom_powers={ul: 2 * k for k, ul in enumerate(u, 1)},
+        coeff_vars=XY,
+    )
+    for ul, a_l in zip(u, avec):
+        if not isinstance(a_l, MultiPoly):
+            a_l = MultiPoly.constant(XY, Fraction(a_l))
+        quad = a_l.lift(variables) * _mono(variables, {ul: 2})
+        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1}) + quad)
+        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1, "x": 1}))
+        # 1/(1 + u_l (1-y)) = 1/(1 - (y-1) u_l)
+        spec.add_geom(_mono(variables, {ul: 1, "y": 1}) + _mono(variables, {ul: 1}, -1))
+    _add_qkz_cross(spec, variables, u)
+    return GenPoly.from_poly(n, iterated_residue(spec, order=order, hi=hi))
 
 
 def integral_A(n: int, order=None, hi=None) -> GenPoly:
     """The (n-1)-fold formal integral for the doubly refined ASM polynomial:
-    variables u_2..u_n with denominators u_l**(2l-2), numerators
-    (1+u_l)(1+x u_l), the 1/(1+u_l(1-y)) factor expanded about the origin,
-    and the antisymmetrizing cross factors (u_m - u_l)(1+u_m+u_m u_l)."""
+    the interpolating integral with every a_l = 0, over variables u_2..u_n
+    with denominators u_l**(2l-2), numerators (1+u_l)(1+x u_l), the
+    1/(1+u_l(1-y)) factor expanded about the origin, and the antisymmetrizing
+    cross factors (u_m - u_l)(1+u_m+u_m u_l)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return _to_genpoly(1, 1)
-    u = [_uvar(l) for l in range(2, n + 1)]
-    variables = tuple(u) + XY
-    spec = IntegrandSpec(
-        u_vars=tuple(u),
-        denom_powers={_uvar(l): 2 * l - 2 for l in range(2, n + 1)},
-        coeff_vars=XY,
-    )
-    for l in range(2, n + 1):
-        ul = _uvar(l)
-        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1}))          # 1 + u_l
-        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1, "x": 1}))  # 1 + x u_l
-        # 1/(1 + u_l (1-y)) = 1/(1 - (y-1) u_l)
-        spec.add_geom(_mono(variables, {ul: 1, "y": 1}) + _mono(variables, {ul: 1}, -1))
-    for l in range(2, n + 1):
-        for m in range(l + 1, n + 1):
-            ul, um = _uvar(l), _uvar(m)
-            spec.add_poly(_mono(variables, {um: 1}) + _mono(variables, {ul: 1}, -1))
-            spec.add_poly(
-                _mono(variables, {})
-                + _mono(variables, {um: 1})
-                + _mono(variables, {um: 1, ul: 1})
-            )
-    return _to_genpoly(n, iterated_residue(spec, order=order, hi=hi))
+    return _interpolating(n, [0] * (n - 1), 2, order, hi)
 
 
 def integral_U(n: int, form: str = "raw", order=None, hi=None) -> GenPoly:
@@ -273,56 +286,31 @@ def integral_U(n: int, form: str = "raw", order=None, hi=None) -> GenPoly:
     1/(1-u_i**2), (1+x u_i), (1+y u_i) and (1+u_i)**(i-2) for i >= 2, and
     cross factors (u_j-u_i)/(1-u_i u_j).
     form="after-u1": the (n-1)-fold integral left after the innermost
-    variable has been integrated out.  Both must agree.
+    variable has been integrated out: the same factors over u_2..u_n, with
+    denominators u_i**(2i-2).  Both must agree.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if form == "raw":
-        u = [_uvar(i) for i in range(1, n + 1)]
-        variables = tuple(u) + XY
-        spec = IntegrandSpec(
-            u_vars=tuple(u),
-            denom_powers={_uvar(i): 2 * i - 1 for i in range(1, n + 1)},
-            coeff_vars=XY,
-        )
-        for i in range(1, n + 1):
-            ui = _uvar(i)
-            spec.add_geom(_mono(variables, {ui: 2}))                                 # 1/(1-u_i^2)
-            spec.add_poly(_mono(variables, {}) + _mono(variables, {ui: 1, "x": 1}))  # 1 + x u_i
-            if i >= 2:
-                spec.add_poly(_mono(variables, {}) + _mono(variables, {ui: 1, "y": 1}))
-                one_plus = _mono(variables, {}) + _mono(variables, {ui: 1})
-                spec.add_poly(one_plus ** (i - 2))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                ui, uj = _uvar(i), _uvar(j)
-                spec.add_poly(_mono(variables, {uj: 1}) + _mono(variables, {ui: 1}, -1))
-                spec.add_geom(_mono(variables, {ui: 1, uj: 1}))
-        return _to_genpoly(n, iterated_residue(spec, order=order, hi=hi))
-    if form == "after-u1":
-        if n == 1:
-            return _to_genpoly(1, 1)
-        u = [_uvar(i) for i in range(2, n + 1)]
-        variables = tuple(u) + XY
-        spec = IntegrandSpec(
-            u_vars=tuple(u),
-            denom_powers={_uvar(i): 2 * i - 2 for i in range(2, n + 1)},
-            coeff_vars=XY,
-        )
-        for i in range(2, n + 1):
-            ui = _uvar(i)
-            spec.add_poly(_mono(variables, {}) + _mono(variables, {ui: 1, "x": 1}))
+    if form not in ("raw", "after-u1"):
+        raise ValueError(f"unknown form {form!r}")
+    first = 1 if form == "raw" else 2
+    u = [_uvar(i) for i in range(first, n + 1)]
+    variables = tuple(u) + XY
+    spec = IntegrandSpec(
+        u_vars=tuple(u),
+        denom_powers={_uvar(i): 2 * i - first for i in range(first, n + 1)},
+        coeff_vars=XY,
+    )
+    for i in range(first, n + 1):
+        ui = _uvar(i)
+        spec.add_geom(_mono(variables, {ui: 2}))                                 # 1/(1-u_i^2)
+        spec.add_poly(_mono(variables, {}) + _mono(variables, {ui: 1, "x": 1}))  # 1 + x u_i
+        if i >= 2:
             spec.add_poly(_mono(variables, {}) + _mono(variables, {ui: 1, "y": 1}))
             one_plus = _mono(variables, {}) + _mono(variables, {ui: 1})
             spec.add_poly(one_plus ** (i - 2))
-            spec.add_geom(_mono(variables, {ui: 2}))
-        for i in range(2, n + 1):
-            for j in range(i + 1, n + 1):
-                ui, uj = _uvar(i), _uvar(j)
-                spec.add_poly(_mono(variables, {uj: 1}) + _mono(variables, {ui: 1}, -1))
-                spec.add_geom(_mono(variables, {ui: 1, uj: 1}))
-        return _to_genpoly(n, iterated_residue(spec, order=order, hi=hi))
-    raise ValueError(f"unknown form {form!r}")
+    _add_cauchy_cross(spec, variables, u)
+    return GenPoly.from_poly(n, iterated_residue(spec, order=order, hi=hi))
 
 
 def integral_I(n: int, avec, order=None, hi=None) -> GenPoly:
@@ -336,34 +324,7 @@ def integral_I(n: int, avec, order=None, hi=None) -> GenPoly:
         raise ValueError("n must be >= 1")
     if len(avec) != n - 1:
         raise ValueError("need n-1 interpolation entries")
-    if n == 1:
-        return _to_genpoly(1, 1)
-    u = [_uvar(l) for l in range(1, n)]
-    variables = tuple(u) + XY
-    spec = IntegrandSpec(
-        u_vars=tuple(u),
-        denom_powers={_uvar(l): 2 * l for l in range(1, n)},
-        coeff_vars=XY,
-    )
-    for l in range(1, n):
-        ul = _uvar(l)
-        a_l = avec[l - 1]
-        if not isinstance(a_l, MultiPoly):
-            a_l = MultiPoly.constant(XY, Fraction(a_l))
-        quad = a_l.lift(variables) * _mono(variables, {ul: 2})
-        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1}) + quad)
-        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1, "x": 1}))
-        spec.add_geom(_mono(variables, {ul: 1, "y": 1}) + _mono(variables, {ul: 1}, -1))
-    for l in range(1, n):
-        for m in range(l + 1, n):
-            ul, um = _uvar(l), _uvar(m)
-            spec.add_poly(_mono(variables, {um: 1}) + _mono(variables, {ul: 1}, -1))
-            spec.add_poly(
-                _mono(variables, {})
-                + _mono(variables, {um: 1})
-                + _mono(variables, {um: 1, ul: 1})
-            )
-    return _to_genpoly(n, iterated_residue(spec, order=order, hi=hi))
+    return _interpolating(n, avec, 1, order, hi)
 
 
 def a_profile_y1y() -> MultiPoly:
@@ -395,6 +356,16 @@ def _swap_vars(p: MultiPoly, v1, v2) -> MultiPoly:
     return MultiPoly(p.vars, terms)
 
 
+def _antisym_lhs(u, variables, coeff_vars, phi, tau):
+    """The ordered side of the antisymmetrization identity: phi times the
+    qKZ cross factors, with denominators u_i**(2i)."""
+    spec = IntegrandSpec(tuple(u), {ui: 2 * i for i, ui in enumerate(u, 1)},
+                         coeff_vars=coeff_vars)
+    spec.add_poly(phi.lift(variables))
+    _add_qkz_cross(spec, variables, u, tau)
+    return spec
+
+
 def zeilid_check(n: int, tau, phi: MultiPoly, order=None, hi=None):
     """Both sides of the antisymmetrization identity for a symmetric phi,
     evaluated as formal integrals; returns a report entry."""
@@ -404,19 +375,7 @@ def zeilid_check(n: int, tau, phi: MultiPoly, order=None, hi=None):
     if not is_symmetric(phi.lift(variables), u):
         raise ValueError("phi must be symmetric in the contour variables")
 
-    lhs = IntegrandSpec(tuple(u), {_uvar(i): 2 * i for i in range(1, n + 1)},
-                        coeff_vars=coeff_vars)
-    lhs.add_poly(phi.lift(variables))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ui, uj = _uvar(i), _uvar(j)
-            lhs.add_poly(_mono(variables, {uj: 1}) + _mono(variables, {ui: 1}, -1))
-            lhs.add_poly(
-                _mono(variables, {})
-                + _mono(variables, {uj: 1}, tau)
-                + _mono(variables, {ui: 1, uj: 1})
-            )
-
+    lhs = _antisym_lhs(u, variables, coeff_vars, phi, tau)
     rhs = IntegrandSpec(tuple(u), {_uvar(i): 2 * i for i in range(1, n + 1)},
                         coeff_vars=coeff_vars)
     rhs.add_poly(phi.lift(variables))
@@ -425,11 +384,7 @@ def zeilid_check(n: int, tau, phi: MultiPoly, order=None, hi=None):
         one_tau = _mono(variables, {}) + _mono(variables, {ui: 1}, tau)
         rhs.add_poly(one_tau ** (i - 1))
         rhs.add_geom(_mono(variables, {ui: 2}))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ui, uj = _uvar(i), _uvar(j)
-            rhs.add_poly(_mono(variables, {uj: 1}) + _mono(variables, {ui: 1}, -1))
-            rhs.add_geom(_mono(variables, {ui: 1, uj: 1}))
+    _add_cauchy_cross(rhs, variables, u)
 
     left = iterated_residue(lhs, order=order, hi=hi)
     right = iterated_residue(rhs, order=order, hi=hi)
@@ -480,7 +435,7 @@ def even_partition_sum_check(n: int, degree_bound: int):
     lhs = TruncatedSeries(u, window)
     for seq in _even_odd_sequences(n, D):
         for perm in permutations(range(n)):
-            sign = _perm_sign(perm)
+            sign = perm_sign(perm)
             exps = tuple(seq[perm[i]] for i in range(n))
             lhs = lhs + TruncatedSeries(u, window, {exps: sign})
     rhs = TruncatedSeries.constant(u, window, 1)
@@ -523,15 +478,6 @@ def _even_odd_sequences(n: int, bound: int):
     return seqs
 
 
-def _perm_sign(perm):
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
 def vandermonde_antisym_identity(n: int) -> bool:
     """AS{ prod_i (1+tau u_i)^(i-1) u_i^(2n-2i) } equals
     prod_{i<j} (u_i-u_j)(u_i+u_j+tau u_i u_j), with tau symbolic."""
@@ -539,7 +485,7 @@ def vandermonde_antisym_identity(n: int) -> bool:
     variables = tuple(u) + ("tau",)
     lhs = MultiPoly(variables)
     for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         term = _mono(variables, {}, sign)
         for i in range(1, n + 1):
             ui = _uvar(perm[i - 1] + 1)
@@ -568,37 +514,22 @@ def homogeneous_limit_check(n: int, order=None, hi=None):
     variables = tuple(u) + XY
     phi = phi_bilinear(n)
 
-    pre = IntegrandSpec(tuple(u), {_uvar(i): 2 * i for i in range(1, n + 1)})
-    pre.add_poly(phi)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ui, uj = _uvar(i), _uvar(j)
-            pre.add_poly(_mono(variables, {uj: 1}) + _mono(variables, {ui: 1}, -1))
-            pre.add_poly(
-                _mono(variables, {})
-                + _mono(variables, {uj: 1}, tau)
-                + _mono(variables, {ui: 1, uj: 1})
-            )
+    pre = _antisym_lhs(u, variables, XY, phi, tau)
 
     post = IntegrandSpec(tuple(u), {_uvar(i): 2 * n for i in range(1, n + 1)})
     post.add_poly(phi)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ui, uj = _uvar(i), _uvar(j)
-            post.add_poly(_mono(variables, {uj: 1}) + _mono(variables, {ui: 1}, -1))
-            post.add_poly(_mono(variables, {ui: 1}) + _mono(variables, {uj: 1}, -1))
+            post.add_poly(_difference(variables, uj, ui))
             post.add_poly(
                 _mono(variables, {ui: 1})
                 + _mono(variables, {uj: 1})
                 + _mono(variables, {ui: 1, uj: 1}, tau)
             )
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            ui, uj = _uvar(i), _uvar(j)
-            if i == j:
-                post.add_geom(_mono(variables, {ui: 2}))
-            else:
-                post.add_geom(_mono(variables, {ui: 1, uj: 1}))
+    _add_cauchy_cross(post, variables, u)
+    for ui in u:
+        post.add_geom(_mono(variables, {ui: 2}))
 
     left = iterated_residue(pre, order=order, hi=hi) * math.factorial(n)
     right = iterated_residue(post, order=order, hi=hi)

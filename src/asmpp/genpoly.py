@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra.poly import MultiPoly
+
 
 class GenPoly:
     """Polynomial sum over objects of x**i * y**j.
@@ -29,6 +31,22 @@ class GenPoly:
             for (i, j), c in coeffs.items():
                 if c:
                     self.add_term(i, j, c)
+
+    @classmethod
+    def from_poly(cls, n, poly) -> "GenPoly":
+        """The GenPoly of a MultiPoly in x and y (exponents read by variable
+        name) or of a scalar constant; a non-integer coefficient raises
+        ValueError."""
+        if not isinstance(poly, MultiPoly):
+            poly = MultiPoly((), {(): poly})
+        result = cls(n)
+        for exps, coeff in poly.terms.items():
+            value = Fraction(coeff)
+            if value.denominator != 1:
+                raise ValueError(f"coefficient {value} is not an integer")
+            named = dict(zip(poly.vars, exps))
+            result.add_term(named.get("x", 0), named.get("y", 0), int(value))
+        return result
 
     def add_term(self, i, j, count=1):
         if i < 0 or j < 0:

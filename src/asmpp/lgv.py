@@ -81,12 +81,4 @@ def lgv_genfun_xy(n: int) -> GenPoly:
     y = MultiPoly.variable(xy, "y")
     one = MultiPoly.constant(xy, 1)
     weights = [x, y] + [one] * (n - 2) if n >= 2 else [x]
-    poly = lgv_genfun(n, weights[:n])
-    result = GenPoly(n, convention="tilde")
-    if isinstance(poly, MultiPoly):
-        for exps, coeff in poly.terms.items():
-            assert coeff == int(coeff)
-            result.add_term(exps[0], exps[1], int(coeff))
-    else:
-        result.add_term(0, 0, int(poly))
-    return result
+    return GenPoly.from_poly(n, lgv_genfun(n, weights[:n]))

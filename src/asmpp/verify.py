@@ -51,6 +51,14 @@ def _check(name, n, expected, got, **extra):
     return entry
 
 
+def _witness_check(name, n, holds, fails, witness):
+    """A check over many objects: it passes when no object failed (witness
+    is None), and otherwise carries the first failing object as witness."""
+    if witness is None:
+        return _check(name, n, holds, holds)
+    return _check(name, n, holds, fails, witness=witness)
+
+
 # -- suites ------------------------------------------------------------------
 
 def suite_doubly_refined(n, seed, samples):
@@ -174,64 +182,46 @@ def suite_bijections(n, seed, samples):
     from .sixvertex import asm_to_six_vertex, six_vertex_to_asm
 
     count = 0
-    asm_rt = True
     witness = None
     for a in enumerate_asms(n):
         count += 1
-        if asm_rt and six_vertex_to_asm(asm_to_six_vertex(a)) != a:
-            asm_rt = False
+        if witness is None and six_vertex_to_asm(asm_to_six_vertex(a)) != a:
             witness = a.to_rows()
     checks = [
         _check("asm-count", n, asm_count_formula(n), count),
-        {"check": "asm-vertex-roundtrip", "n": n, "expected": "identity",
-         "got": "identity" if asm_rt else "mismatch", "pass": asm_rt,
-         **({"witness": witness} if witness else {})},
+        _witness_check("asm-vertex-roundtrip", n, "identity", "mismatch", witness),
     ]
     count = 0
-    path_rt = True
     witness = None
     for p in enumerate_nilps(n):
         count += 1
-        if path_rt and tsscpp_to_nilp(nilp_to_tsscpp(p)) != p:
-            path_rt = False
+        if witness is None and tsscpp_to_nilp(nilp_to_tsscpp(p)) != p:
             witness = p.to_json_dict()
     checks.append(_check("path-bundle-count", n, asm_count_formula(n), count))
     checks.append(
-        {"check": "tsscpp-path-roundtrip", "n": n, "expected": "identity",
-         "got": "identity" if path_rt else "mismatch", "pass": path_rt,
-         **({"witness": witness} if witness else {})}
-    )
+        _witness_check("tsscpp-path-roundtrip", n, "identity", "mismatch", witness))
     return checks
 
 
 def suite_involutions(n, seed, samples):
     objs = list(enumerate_nilps(n))
-    checks = []
-    ok_g = True
-    g_witness = None
+    witness = None
     for k in range(1, n - 1):
         for p in objs:
             q = involution_g(p, k)
-            if ok_g and (involution_g(q, k) != p
+            if witness is None and (involution_g(q, k) != p
                     or u_statistic(q, k) != u_statistic(p, k + 1)
                     or u_statistic(q, k + 1) != u_statistic(p, k)):
-                ok_g = False
-                g_witness = {"row": k, **p.to_json_dict()}
-    checks.append({"check": "slice-swap-involution", "n": n,
-                   "expected": "involution", "got": "involution" if ok_g else "broken",
-                   "pass": ok_g, **({"witness": g_witness} if g_witness else {})})
-    ok_h = True
-    h_witness = None
+                witness = {"row": k, **p.to_json_dict()}
+    checks = [_witness_check("slice-swap-involution", n, "involution", "broken", witness)]
+    witness = None
     for p in objs:
         q = involution_h(p)
         if (involution_h(q) != p or (n >= 2 and q.steps[1] != p.steps[1])
                 or u_statistic(q, 0) != (n - 1) - u_statistic(p, 1)):
-            ok_h = False
-            h_witness = p.to_json_dict()
+            witness = p.to_json_dict()
             break
-    checks.append({"check": "top-swap-involution", "n": n,
-                   "expected": "involution", "got": "involution" if ok_h else "broken",
-                   "pass": ok_h, **({"witness": h_witness} if h_witness else {})})
+    checks.append(_witness_check("top-swap-involution", n, "involution", "broken", witness))
     base = genfun_U(n, 0, 1)
     for i in range(2, n + 1):
         checks.append(_check("statistic-index-independence", n,
@@ -246,7 +236,6 @@ def suite_involutions(n, seed, samples):
 
 def suite_mrr(n, seed, samples):
     pairs = [(p, nilp_to_tsscpp(p)) for p in enumerate_nilps(n)]
-    checks = []
     forms_witness = None
     stats_witness = None
     for p, a in pairs:
@@ -257,14 +246,10 @@ def suite_mrr(n, seed, samples):
         if stats_witness is None and any(
                 mrr_u_statistic(a, k) != u_statistic(p, k) for k in range(1, n + 1)):
             stats_witness = a.to_rows()
-    forms_ok = forms_witness is None
-    stats_ok = stats_witness is None
-    checks.append({"check": "array-formula-agreement", "n": n,
-                   "expected": "equal", "got": "equal" if forms_ok else "differ",
-                   "pass": forms_ok, **({} if forms_ok else {"witness": forms_witness})})
-    checks.append({"check": "array-vs-path-statistics", "n": n,
-                   "expected": "equal", "got": "equal" if stats_ok else "differ",
-                   "pass": stats_ok, **({} if stats_ok else {"witness": stats_witness})})
+    checks = [
+        _witness_check("array-formula-agreement", n, "equal", "differ", forms_witness),
+        _witness_check("array-vs-path-statistics", n, "equal", "differ", stats_witness),
+    ]
     flip = Counter((n - 1) - mrr_u_statistic(a, n + 1) for _, a in pairs)
     u0 = Counter(u_statistic(p, 0) for p, _ in pairs)
     checks.append(_check("extra-step-multiset", n, sorted(u0.items()),

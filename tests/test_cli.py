@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asmpp import verify
 from asmpp.asm import enumerate_asms
@@ -150,6 +151,50 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+FUZZ_COMMANDS = st.one_of(
+    st.tuples(st.just("enumerate"), st.sampled_from(["asm", "nilp", "tsscpp", "x"])),
+    st.tuples(st.just("genfun"), st.sampled_from(
+        ["asm-tilde", "asm-reversed", "nilp", "lgv", "integral-A", "integral-U",
+         "integral-I", "x"])),
+    st.tuples(st.just("verify"), st.sampled_from([*verify.SUITES, "x"])),
+)
+FUZZ_N = st.sampled_from([(), ("--n",)] + [("--n", t) for t in (
+    "1", "2", "3", "4", "1..3", "2..4", "0", "5", "-1", "x", "3..x", "4..1", "..", "")])
+FUZZ_VALUES = {
+    "--format": ["json", "csv", "pretty", "x"],
+    "--form": ["raw", "after-u1", "x"],
+    "--weights": ["t,s,1", "1,2,1,3", "t,s,1,1", "1/3,1/3,1", "1/2,2", "t,1/0,1",
+                  "t,u,v", ""],
+    "--a": ["y(1-y)", "1,2", "-8/5,1,3/2", "1/0,2", "x", ""],
+    "--i": ["0", "1", "5", "x"],
+    "--j": ["0", "2", "-1", "x"],
+    "--seed": ["0", "11", "x"],
+    "--samples": ["0", "1", "-1", "x"],
+    "--workers": ["0", "1", "-1", "x"],
+    "--out": ["/nonexistent/f"],
+    "--bogus": ["1"],
+}
+FUZZ_OPTIONS = st.lists(st.sampled_from(sorted(FUZZ_VALUES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(FUZZ_VALUES[flag]))),
+    max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FUZZ_COMMANDS, FUZZ_N, FUZZ_OPTIONS)
+def test_fuzzed_arguments_keep_the_exit_code_contract(command, n, options):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+    argv = [*command, *n, *(token for option in options for token in option)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    # every identity holds, so an exit 1 here would be bad input misreported
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv
 
 
 def test_lgv_integer_weights_keep_their_counts():

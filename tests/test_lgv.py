@@ -4,6 +4,7 @@ import pytest
 
 from asmpp.algebra.poly import MultiPoly
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
+from asmpp.genpoly import GenPoly
 from asmpp.lgv import (
     elementary_symmetric,
     endpoint_sequences,
@@ -70,3 +71,18 @@ def _slab_exponents(p, n):
 def test_weight_length_check():
     with pytest.raises(ValueError):
         lgv_genfun(3, [Fraction(1)] * 2)
+
+
+def test_genpoly_from_poly():
+    counts = GenPoly.from_poly(3, 5)
+    assert counts.coeffs == {(0, 0): 5}
+    assert GenPoly.from_poly(3, 0).coeffs == {}
+    poly = MultiPoly(("y", "x"), {(2, 1): 3, (0, 0): Fraction(4)})
+    counts = GenPoly.from_poly(3, poly)
+    assert counts.coeffs == {(1, 2): 3, (0, 0): 4}
+    assert all(type(c) is int for c in counts.coeffs.values())
+    half = MultiPoly(("x", "y"), {(1, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        GenPoly.from_poly(1, half)
+    with pytest.raises(ValueError):
+        GenPoly.from_poly(1, Fraction(1, 2))
