@@ -11,7 +11,7 @@ from .asm import (
     refined_stat,
 )
 from .genpoly import GenPoly
-from .nilp import Nilp, enumerate_nilps, extra_step, genfun_U, u_statistic, u_vector
+from .nilp import Nilp, enumerate_nilps, extra_step, genfun_U, u_statistic
 from .schur import schur_staircase, dyck_specializations, zprime_residue_sum
 from .sixvertex import (
     VertexGrid,
@@ -30,7 +30,6 @@ __all__ = [
     "genfun_doubly_refined", "refined_stat",
     "GenPoly",
     "Nilp", "enumerate_nilps", "extra_step", "genfun_U", "u_statistic",
-    "u_vector",
     "schur_staircase", "dyck_specializations", "zprime_residue_sum",
     "VertexGrid", "asm_to_six_vertex", "normalize_Z", "refined_from_Z",
     "six_vertex_to_asm", "weighted_partition_sum",

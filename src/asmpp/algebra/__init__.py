@@ -1,14 +1,12 @@
 """Exact coefficient rings, sparse polynomials/series and determinants."""
 
-from .cyclo import CycloScalar, ZETA, ONE, Q3, Q3_INV, Q3_HALF, Q3_NEG_HALF, cyclo_mul
+from .cyclo import CycloScalar, ZETA, ONE, Q3, Q3_INV, Q3_HALF, Q3_NEG_HALF
 from .poly import MultiPoly, MissingVariableError, poly_eval
 from .series import (
     TruncatedSeries,
     WindowMismatchError,
     ContourSideError,
-    series_mul,
     residue_at_zero,
-    geometric_expand,
     geometric_mul,
     positive_valuation,
 )
@@ -16,10 +14,8 @@ from .matrix import SquareMatrix, determinant, determinant_cofactor
 
 __all__ = [
     "CycloScalar", "ZETA", "ONE", "Q3", "Q3_INV", "Q3_HALF", "Q3_NEG_HALF",
-    "cyclo_mul",
     "MultiPoly", "MissingVariableError", "poly_eval",
     "TruncatedSeries", "WindowMismatchError", "ContourSideError",
-    "series_mul", "residue_at_zero", "geometric_expand", "geometric_mul",
-    "positive_valuation",
+    "residue_at_zero", "geometric_mul", "positive_valuation",
     "SquareMatrix", "determinant", "determinant_cofactor",
 ]

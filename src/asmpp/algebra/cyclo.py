@@ -165,8 +165,3 @@ Q3_INV = Q3 * Q3
 # Square roots of q used by the vertex weights.
 Q3_HALF = ZETA
 Q3_NEG_HALF = ONE - ZETA
-
-
-def cyclo_mul(a: CycloScalar, b: CycloScalar) -> CycloScalar:
-    """Exact product, reduced to c0 + c1*zeta form."""
-    return CycloScalar.coerce(a) * CycloScalar.coerce(b)

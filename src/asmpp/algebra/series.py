@@ -59,12 +59,6 @@ class TruncatedSeries:
         n = len(tuple(variables))
         return cls(variables, window, {(0,) * n: value})
 
-    @classmethod
-    def from_poly(cls, poly: MultiPoly, variables, window) -> "TruncatedSeries":
-        """Embed a polynomial; poly.vars must be a subset of `variables`."""
-        lifted = poly.lift(variables) if poly.vars != tuple(variables) else poly
-        return cls(variables, window, lifted.terms)
-
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other):
@@ -156,11 +150,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.vars!r}, {self.window!r}, {len(self.terms)} terms)"
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact product with terms outside the window discarded."""
-    return a * b
-
-
 def residue_at_zero(f: TruncatedSeries, name) -> TruncatedSeries:
     """Coefficient of name**-1: the formal residue of a counterclockwise
     contour around the origin in that variable."""
@@ -206,15 +195,3 @@ def geometric_mul(s: TruncatedSeries, g: MultiPoly, in_vars) -> TruncatedSeries:
         if not acc:
             return total
         total = total + acc
-
-
-def geometric_expand(numerator: MultiPoly, g: MultiPoly, variables, window,
-                     in_vars) -> TruncatedSeries:
-    """numerator * sum_k g**k, truncated to the window.
-
-    `in_vars` are the contour (integration) variables; g must have no
-    constant term in them, otherwise the expansion direction would put the
-    pole of 1/(1-g) on the wrong side of the contour and is rejected.
-    """
-    num = TruncatedSeries.from_poly(numerator, variables, window)
-    return geometric_mul(num, g, in_vars)

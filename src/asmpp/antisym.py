@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .algebra.matrix import determinant, perm_sign
+from .schur import random_distinct_rationals
 
 
 class SingularSampleError(ZeroDivisionError):
@@ -109,11 +110,4 @@ def fbar_cauchy(n: int, w, z):
 def sample_points(rng, count, forbid=()):
     """Distinct small rationals avoiding 0, +-1 and the `forbid` set (values
     at which the h factors are structurally singular)."""
-    seen = set(forbid) | {Fraction(0), Fraction(1), Fraction(-1)}
-    out = []
-    while len(out) < count:
-        v = Fraction(rng.randint(-13, 13), rng.randint(1, 13))
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return random_distinct_rationals(rng, count, exclude=set(forbid) | {0, 1, -1})

@@ -147,13 +147,3 @@ def genfun_doubly_refined(n: int, convention: str = "tilde") -> GenPoly:
         j = st.j if convention == "tilde" else n - st.j + 1
         poly.add_term(st.i - 1, j - 1)
     return poly
-
-
-def refined_counts(n: int, convention: str = "reversed"):
-    """The n x n matrix of doubly refined counts (1-based indices as rows/cols)."""
-    mat = [[0] * n for _ in range(n)]
-    for a in enumerate_asms(n):
-        st = refined_stat(a)
-        j = st.j if convention == "tilde" else n - st.j + 1
-        mat[st.i - 1][j - 1] += 1
-    return mat

@@ -236,6 +236,8 @@ def cmd_verify(args):
             if not c["pass"]:
                 lines.append(f"         expected {c['expected']}")
                 lines.append(f"         got      {c['got']}")
+                if "witness" in c:
+                    lines.append(f"         witness  {json.dumps(c['witness'], sort_keys=True)}")
         lines.append(f"{report['total'] - report['failures']}/{report['total']} checks passed")
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if report["pass"] else 1

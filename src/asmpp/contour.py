@@ -30,6 +30,7 @@ from .algebra.series import (
     geometric_mul,
     positive_valuation,
 )
+from .checks import check
 from .genpoly import GenPoly
 
 XY = ("x", "y")
@@ -388,15 +389,8 @@ def zeilid_check(n: int, tau, phi: MultiPoly, order=None, hi=None):
 
     left = iterated_residue(lhs, order=order, hi=hi)
     right = iterated_residue(rhs, order=order, hi=hi)
-    return {
-        "check": "antisymmetrization-identity",
-        "n": n,
-        "tau": str(tau),
-        "phi": str(phi),
-        "expected": str(right),
-        "got": str(left),
-        "pass": left == right,
-    }
+    return check("antisymmetrization-identity", n, right, left,
+                 tau=str(tau), phi=str(phi))
 
 
 def phi_bilinear(n: int) -> MultiPoly:
@@ -454,14 +448,8 @@ def even_partition_sum_check(n: int, degree_bound: int):
             rhs = geometric_mul(rhs, g, u)
     lt = {e: c for e, c in lhs.terms.items() if sum(e) <= D}
     rt = {e: c for e, c in rhs.terms.items() if sum(e) <= D}
-    return {
-        "check": "even-partition-sum",
-        "n": n,
-        "degree_bound": D,
-        "expected": f"{len(rt)} terms",
-        "got": f"{len(lt)} terms",
-        "pass": lt == rt,
-    }
+    return check("even-partition-sum", n, f"{len(rt)} terms", f"{len(lt)} terms",
+                 passed=lt == rt, degree_bound=D)
 
 
 def _even_odd_sequences(n: int, bound: int):
@@ -533,10 +521,4 @@ def homogeneous_limit_check(n: int, order=None, hi=None):
 
     left = iterated_residue(pre, order=order, hi=hi) * math.factorial(n)
     right = iterated_residue(post, order=order, hi=hi)
-    return {
-        "check": "homogeneous-limit",
-        "n": n,
-        "expected": str(right),
-        "got": str(left),
-        "pass": left == right,
-    }
+    return check("homogeneous-limit", n, right, left)

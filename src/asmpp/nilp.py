@@ -175,11 +175,6 @@ def u_statistic(p: Nilp, k: int) -> int:
     return count
 
 
-def u_vector(p: Nilp) -> tuple:
-    """All statistics (u^0, ..., u^n) of one bundle."""
-    return tuple(u_statistic(p, k) for k in range(p.n + 1))
-
-
 def genfun_U(n: int, i: int, j: int) -> GenPoly:
     """Sum over bundles of x**u^i * y**u^j."""
     if not (0 <= i <= n and 0 <= j <= n):

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .algebra.cyclo import CycloScalar, Q3, Q3_INV
 from .algebra.matrix import determinant
+from .checks import check
 
 
 def staircase_shape(n: int):
@@ -138,18 +139,10 @@ def catalan(n: int) -> int:
 def verify_dyck_values(n: int):
     """Check schur_staircase == 3**(n(n-1)/2) at every ballot specialization."""
     expected = Fraction(3) ** (n * (n - 1) // 2)
-    checks = []
-    for spec in dyck_specializations(n):
-        got = schur_staircase(n, spec.point())
-        checks.append({
-            "check": "ballot-specialization",
-            "n": n,
-            "point": "".join("+" if e == 1 else "-" for e in spec.eps),
-            "expected": str(expected),
-            "got": str(got),
-            "pass": got == expected,
-        })
-    return checks
+    return [check("ballot-specialization", n, expected,
+                  schur_staircase(n, spec.point()),
+                  point="".join("+" if e == 1 else "-" for e in spec.eps))
+            for spec in dyck_specializations(n)]
 
 
 def wheel_check(evaluator, n: int, samples: int, rng):
@@ -165,15 +158,8 @@ def wheel_check(evaluator, n: int, samples: int, rng):
         point[i] = CycloScalar.coerce(z)
         point[j] = q * q * z
         point[k] = q ** 4 * z
-        got = evaluator(point)
-        checks.append({
-            "check": "wheel-condition",
-            "n": n,
-            "point": [str(p) for p in point],
-            "expected": "0",
-            "got": str(got),
-            "pass": not bool(got),
-        })
+        checks.append(check("wheel-condition", n, 0, evaluator(point),
+                            point=[str(p) for p in point]))
     return checks
 
 
@@ -197,14 +183,8 @@ def recursion_check_q3(n: int, samples: int, rng):
         for zk in rest:
             factor = factor * (q * point[i] - zk)
         rhs = factor * schur_staircase(n - 1, rest)
-        checks.append({
-            "check": "degree-lowering-recursion",
-            "n": n,
-            "point": [str(p) for p in point],
-            "expected": str(rhs),
-            "got": str(lhs),
-            "pass": lhs == rhs,
-        })
+        checks.append(check("degree-lowering-recursion", n, rhs, lhs,
+                            point=[str(p) for p in point]))
     return checks
 
 
@@ -276,8 +256,9 @@ def _random_rational(rng, nonzero=False):
             return v
 
 
-def random_distinct_rationals(rng, count: int):
-    seen = set()
+def random_distinct_rationals(rng, count: int, exclude=()):
+    """`count` distinct small rationals, none of them in `exclude`."""
+    seen = set(exclude)
     out = []
     while len(out) < count:
         v = _random_rational(rng)

@@ -29,10 +29,6 @@ from fractions import Fraction
 from .algebra.cyclo import CycloScalar
 from .asm import Asm, enumerate_asms
 
-A_TYPES = ("a1", "a2")
-B_TYPES = ("b1", "b2")
-C_TYPES = ("c1", "c2")
-
 
 class VertexGrid:
     """n x n grid of six-vertex types satisfying the ice rule under DWBC."""

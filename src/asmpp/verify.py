@@ -1,10 +1,10 @@
 """Verification suites: every identity the library implements, runnable as
 seeded, deterministic check lists with machine-readable witnesses.
 
-Each suite maps (n, seed, samples) to a list of check dicts carrying
-expected/got values and a pass flag; a failing check serializes the full
-witness object.  Identical (suite, n, seed, samples) always produce the
-same checks, independent of worker count.
+Each suite maps (n, seed, samples) to a list of check records, built by
+`checks.check` and `checks.witness_check` (see `checks.py` for the record
+and the first-witness rule).  Identical (suite, n, seed, samples) always
+produce the same checks, independent of worker count.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from random import Random
 
-from . import antisym, contour
+from . import antisym, contour, sixvertex
 from .asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
+from .checks import check, witness_check
 from .lgv import lgv_genfun_xy
 from .nilp import enumerate_nilps, genfun_U, involution_g, involution_h, u_statistic
 from .schur import (
@@ -39,26 +40,6 @@ def _rng(seed, suite, n):
     return Random(f"{seed}:{suite}:{n}")
 
 
-def _check(name, n, expected, got, **extra):
-    entry = {
-        "check": name,
-        "n": n,
-        "expected": str(expected),
-        "got": str(got),
-        "pass": expected == got,
-    }
-    entry.update(extra)
-    return entry
-
-
-def _witness_check(name, n, holds, fails, witness):
-    """A check over many objects: it passes when no object failed (witness
-    is None), and otherwise carries the first failing object as witness."""
-    if witness is None:
-        return _check(name, n, holds, holds)
-    return _check(name, n, holds, fails, witness=witness)
-
-
 # -- suites ------------------------------------------------------------------
 
 def suite_doubly_refined(n, seed, samples):
@@ -66,8 +47,8 @@ def suite_doubly_refined(n, seed, samples):
     paths = genfun_U(n, 0, 1)
     lgv = lgv_genfun_xy(n)
     return [
-        _check("asm-equals-paths", n, str(brute), str(paths)),
-        _check("asm-equals-lgv", n, str(brute), str(lgv)),
+        check("asm-equals-paths", n, str(brute), str(paths)),
+        check("asm-equals-lgv", n, str(brute), str(lgv)),
     ]
 
 
@@ -104,8 +85,8 @@ def suite_recursion(n, seed, samples):
         rhs = pref * normalize_Z(
             weighted_partition_sum(n - 1, ssub, r), n - 1, ssub, r
         )
-        checks.append(_check("corner-recursion-generic-q", n, rhs, lhs,
-                             point=[str(v) for v in z], q=str(q)))
+        checks.append(check("corner-recursion-generic-q", n, rhs, lhs,
+                            point=[str(v) for v in z], q=str(q)))
     return checks
 
 
@@ -133,8 +114,8 @@ def suite_a_independence(n, seed, samples):
     checks = []
     for label, avec in variants:
         got = contour.integral_I(n, avec)
-        checks.append(_check("interpolating-integral", n, str(base), str(got),
-                             profile=label))
+        checks.append(check("interpolating-integral", n, str(base), str(got),
+                            profile=label))
     return checks
 
 
@@ -154,8 +135,8 @@ def suite_appendix_d(n, seed, samples):
             c = antisym.bn_closed(n, w, z, r)
         except antisym.SingularSampleError:
             continue
-        checks.append(_check("antisymmetrized-kernel", n, c, b,
-                             w=[str(v) for v in w], z=[str(v) for v in z], q=str(r * r)))
+        checks.append(check("antisymmetrized-kernel", n, c, b,
+                            w=[str(v) for v in w], z=[str(v) for v in z], q=str(r * r)))
         done += 1
     done = 0
     while done < samples:
@@ -166,8 +147,8 @@ def suite_appendix_d(n, seed, samples):
             c = antisym.fbar_cauchy(n, w, z)
         except antisym.SingularSampleError:
             continue
-        checks.append(_check("cauchy-determinant", n, c, d,
-                             w=[str(v) for v in w], z=[str(v) for v in z]))
+        checks.append(check("cauchy-determinant", n, c, d,
+                            w=[str(v) for v in w], z=[str(v) for v in z]))
         done += 1
     if n <= 3:
         checks.append(contour.homogeneous_limit_check(n))
@@ -179,81 +160,82 @@ def suite_even_partitions(n, seed, samples):
 
 
 def suite_bijections(n, seed, samples):
-    from .sixvertex import asm_to_six_vertex, six_vertex_to_asm
-
-    count = 0
-    witness = None
-    for a in enumerate_asms(n):
-        count += 1
-        if witness is None and six_vertex_to_asm(asm_to_six_vertex(a)) != a:
-            witness = a.to_rows()
-    checks = [
-        _check("asm-count", n, asm_count_formula(n), count),
-        _witness_check("asm-vertex-roundtrip", n, "identity", "mismatch", witness),
+    asms = list(enumerate_asms(n))
+    paths = list(enumerate_nilps(n))
+    return [
+        check("asm-count", n, asm_count_formula(n), len(asms)),
+        witness_check(
+            "asm-vertex-roundtrip", n, "identity", "mismatch", asms,
+            lambda a: sixvertex.six_vertex_to_asm(sixvertex.asm_to_six_vertex(a)) != a,
+            lambda a: a.to_rows()),
+        check("path-bundle-count", n, asm_count_formula(n), len(paths)),
+        witness_check(
+            "tsscpp-path-roundtrip", n, "identity", "mismatch", paths,
+            lambda p: tsscpp_to_nilp(nilp_to_tsscpp(p)) != p,
+            lambda p: p.to_json_dict()),
     ]
-    count = 0
-    witness = None
-    for p in enumerate_nilps(n):
-        count += 1
-        if witness is None and tsscpp_to_nilp(nilp_to_tsscpp(p)) != p:
-            witness = p.to_json_dict()
-    checks.append(_check("path-bundle-count", n, asm_count_formula(n), count))
-    checks.append(
-        _witness_check("tsscpp-path-roundtrip", n, "identity", "mismatch", witness))
-    return checks
 
 
 def suite_involutions(n, seed, samples):
     objs = list(enumerate_nilps(n))
-    witness = None
-    for k in range(1, n - 1):
-        for p in objs:
-            q = involution_g(p, k)
-            if witness is None and (involution_g(q, k) != p
-                    or u_statistic(q, k) != u_statistic(p, k + 1)
-                    or u_statistic(q, k + 1) != u_statistic(p, k)):
-                witness = {"row": k, **p.to_json_dict()}
-    checks = [_witness_check("slice-swap-involution", n, "involution", "broken", witness)]
-    witness = None
-    for p in objs:
+
+    def slice_swap_broken(row_and_path):
+        k, p = row_and_path
+        q = involution_g(p, k)
+        return (involution_g(q, k) != p
+                or u_statistic(q, k) != u_statistic(p, k + 1)
+                or u_statistic(q, k + 1) != u_statistic(p, k))
+
+    def top_swap_broken(p):
         q = involution_h(p)
-        if (involution_h(q) != p or (n >= 2 and q.steps[1] != p.steps[1])
-                or u_statistic(q, 0) != (n - 1) - u_statistic(p, 1)):
-            witness = p.to_json_dict()
-            break
-    checks.append(_witness_check("top-swap-involution", n, "involution", "broken", witness))
+        return (involution_h(q) != p or (n >= 2 and q.steps[1] != p.steps[1])
+                or u_statistic(q, 0) != (n - 1) - u_statistic(p, 1))
+
+    checks = [
+        witness_check("slice-swap-involution", n, "involution", "broken",
+                      ((k, p) for k in range(1, n - 1) for p in objs),
+                      slice_swap_broken,
+                      lambda kp: {"row": kp[0], **kp[1].to_json_dict()}),
+        witness_check("top-swap-involution", n, "involution", "broken", objs,
+                      top_swap_broken, lambda p: p.to_json_dict()),
+    ]
     base = genfun_U(n, 0, 1)
     for i in range(2, n + 1):
-        checks.append(_check("statistic-index-independence", n,
-                             str(base), str(genfun_U(n, 0, i)), index=i))
+        checks.append(check("statistic-index-independence", n,
+                            str(base), str(genfun_U(n, 0, i)), index=i))
     for i in range(2, n + 1):
         c0 = Counter((u_statistic(p, 0), u_statistic(p, i)) for p in objs)
         c1 = Counter(((n - 1) - u_statistic(p, 1), u_statistic(p, i)) for p in objs)
-        checks.append(_check("top-swap-count-identity", n,
-                             sorted(c0.items()), sorted(c1.items()), index=i))
+        checks.append(check("top-swap-count-identity", n,
+                            sorted(c0.items()), sorted(c1.items()), index=i))
     return checks
 
 
 def suite_mrr(n, seed, samples):
     pairs = [(p, nilp_to_tsscpp(p)) for p in enumerate_nilps(n)]
-    forms_witness = None
-    stats_witness = None
-    for p, a in pairs:
-        if forms_witness is None and any(
-                mrr_u_statistic(a, k) != mrr_u_statistic_upper_left(a, k)
-                for k in range(1, n + 2)):
-            forms_witness = a.to_rows()
-        if stats_witness is None and any(
-                mrr_u_statistic(a, k) != u_statistic(p, k) for k in range(1, n + 1)):
-            stats_witness = a.to_rows()
+
+    def forms_differ(pair):
+        a = pair[1]
+        return any(mrr_u_statistic(a, k) != mrr_u_statistic_upper_left(a, k)
+                   for k in range(1, n + 2))
+
+    def statistics_differ(pair):
+        p, a = pair
+        return any(mrr_u_statistic(a, k) != u_statistic(p, k) for k in range(1, n + 1))
+
+    def array_rows(pair):
+        return pair[1].to_rows()
+
     checks = [
-        _witness_check("array-formula-agreement", n, "equal", "differ", forms_witness),
-        _witness_check("array-vs-path-statistics", n, "equal", "differ", stats_witness),
+        witness_check("array-formula-agreement", n, "equal", "differ", pairs,
+                      forms_differ, array_rows),
+        witness_check("array-vs-path-statistics", n, "equal", "differ", pairs,
+                      statistics_differ, array_rows),
     ]
     flip = Counter((n - 1) - mrr_u_statistic(a, n + 1) for _, a in pairs)
     u0 = Counter(u_statistic(p, 0) for p, _ in pairs)
-    checks.append(_check("extra-step-multiset", n, sorted(u0.items()),
-                         sorted(flip.items())))
+    checks.append(check("extra-step-multiset", n, sorted(u0.items()),
+                        sorted(flip.items())))
     return checks
 
 
@@ -265,8 +247,8 @@ def suite_zprime(n, seed, samples):
         pts = random_distinct_rationals(rng, 2 * n)
         zp = zprime_residue_sum(n, pts)
         sc = schur_staircase(n, pts)
-        checks.append(_check("residue-sum-vs-schur", n, sc, zp,
-                             point=[str(v) for v in pts]))
+        checks.append(check("residue-sum-vs-schur", n, sc, zp,
+                            point=[str(v) for v in pts]))
     return checks
 
 
@@ -281,8 +263,8 @@ def suite_sixv_schur(n, seed, samples):
         z = [v * v for v in s]
         got = zn_normalized(n, z, ZETA)
         want = schur_staircase(n, z)
-        checks.append(_check("six-vertex-vs-schur", n, want, got,
-                             point=[str(v) for v in z]))
+        checks.append(check("six-vertex-vs-schur", n, want, got,
+                            point=[str(v) for v in z]))
     return checks
 
 

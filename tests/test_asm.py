@@ -6,7 +6,6 @@ from asmpp.asm import (
     asm_count_formula,
     enumerate_asms,
     genfun_doubly_refined,
-    refined_counts,
     refined_stat,
 )
 
@@ -70,7 +69,7 @@ def test_genfun_examples():
 
 def test_reflection_symmetries():
     for n in range(1, 7):
-        m = refined_counts(n, "reversed")
+        m = genfun_doubly_refined(n, "reversed").coefficient_matrix()
         for i in range(n):
             for j in range(n):
                 assert m[i][j] == m[j][i]

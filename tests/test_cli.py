@@ -235,6 +235,16 @@ def test_bijection_failure_names_the_first_broken_asm(monkeypatch, picks):
     failed = _failed_checks(("verify", "bijections", "--n", "3"))
     assert list(failed) == ["asm-vertex-roundtrip"]
     assert failed["asm-vertex-roundtrip"]["witness"] == asms[picks[0]].to_rows()
+    code, out = run_cli("verify", "bijections", "--n", "3", "--format", "pretty")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("  [FAIL] asm-vertex-roundtrip n=3")
+    assert lines[at + 1:at + 4] == [
+        "         expected identity",
+        "         got      mismatch",
+        f"         witness  {json.dumps(asms[picks[0]].to_rows())}",
+    ]
+    assert sum("witness" in line for line in lines) == 1
 
 
 @pytest.mark.parametrize("picks", [(4,), (1, 4)])

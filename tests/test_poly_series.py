@@ -10,10 +10,9 @@ from asmpp.algebra import (
     Q3,
     TruncatedSeries,
     WindowMismatchError,
-    geometric_expand,
+    geometric_mul,
     poly_eval,
     residue_at_zero,
-    series_mul,
 )
 
 XY = ("x", "y")
@@ -71,16 +70,16 @@ def test_series_mul_examples():
     w = [(0, 4)]
     one_plus = TruncatedSeries(("u",), w, {(0,): 1, (1,): 1})
     one_minus = TruncatedSeries(("u",), w, {(0,): 1, (1,): -1})
-    assert series_mul(one_plus, one_minus).terms == {(0,): 1, (2,): -1}
+    assert (one_plus * one_minus).terms == {(0,): 1, (2,): -1}
 
     w = [(-2, 4)]
     a = TruncatedSeries(("u",), w, {(-1,): 1})
     b = TruncatedSeries(("u",), w, {(2,): 1})
-    assert series_mul(a, b).terms == {(1,): 1}
+    assert (a * b).terms == {(1,): 1}
 
     w2 = [(0, 2), (0, 2)]
     s = TruncatedSeries(("u1", "u2"), w2, {(0, 0): 1, (1, 1): 1})
-    sq = series_mul(s, s)
+    sq = s * s
     assert sq.terms == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
 
 
@@ -88,41 +87,39 @@ def test_series_window_mismatch():
     a = TruncatedSeries(("u",), [(0, 3)], {(0,): 1})
     b = TruncatedSeries(("u",), [(0, 4)], {(0,): 1})
     with pytest.raises(WindowMismatchError):
-        series_mul(a, b)
+        a * b
 
 
 def test_series_truncation_drops_outside():
     w = [(0, 2)]
     s = TruncatedSeries(("u",), w, {(1,): 1, (2,): 1})
-    assert series_mul(s, s).terms == {(2,): 1}
+    assert (s * s).terms == {(2,): 1}
 
 
 def test_geometric_examples():
     u = MultiPoly.variable(("u",), "u")
-    one = MultiPoly.constant(("u",), 1)
-    g = geometric_expand(one, u, ("u",), [(0, 3)], ("u",))
+    one = TruncatedSeries.constant(("u",), [(0, 3)], 1)
+    g = geometric_mul(one, u, ("u",))
     assert g.terms == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
 
     uy = ("u", "y")
     uu, yy = MultiPoly.variable(uy, "u"), MultiPoly.variable(uy, "y")
-    g2 = geometric_expand(MultiPoly.constant(uy, 1), uu * yy - uu, uy,
-                          [(0, 2), (0, None)], ("u",))
+    g2 = geometric_mul(TruncatedSeries.constant(uy, [(0, 2), (0, None)], 1),
+                       uu * yy - uu, ("u",))
     # 1 - (1-y)u + (1-y)^2 u^2
     assert g2.terms == {(0, 0): 1, (1, 0): -1, (1, 1): 1,
                         (2, 0): 1, (2, 1): -2, (2, 2): 1}
 
     u12 = ("u1", "u2")
     prod = MultiPoly.variable(u12, "u1") * MultiPoly.variable(u12, "u2")
-    g3 = geometric_expand(MultiPoly.constant(u12, 1), prod, u12,
-                          [(0, 2), (0, 2)], u12)
+    g3 = geometric_mul(TruncatedSeries.constant(u12, [(0, 2), (0, 2)], 1), prod, u12)
     assert g3.terms == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
 
 
 def test_geometric_rejects_constant_term():
     u = MultiPoly.variable(("u",), "u")
     with pytest.raises(ContourSideError):
-        geometric_expand(MultiPoly.constant(("u",), 1), 1 + u, ("u",),
-                         [(0, 3)], ("u",))
+        geometric_mul(TruncatedSeries.constant(("u",), [(0, 3)], 1), 1 + u, ("u",))
 
 
 def test_geometric_inverts_one_minus_g():
@@ -140,8 +137,7 @@ def test_geometric_inverts_one_minus_g():
         if not g:
             continue
         window = [(0, 4), (0, 4)]
-        expansion = geometric_expand(MultiPoly.constant(uvars, 1), g, uvars,
-                                     window, uvars)
+        expansion = geometric_mul(TruncatedSeries.constant(uvars, window, 1), g, uvars)
         back = expansion.mul_poly(1 - g)
         # agreement with 1 on total degree <= 4 (window edges may truncate)
         for exps, coeff in back.terms.items():

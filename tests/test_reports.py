@@ -3,9 +3,9 @@
 Each digest is the sha256 of one command line's exit code, stdout and
 stderr.  The set covers every integral route and form at n = 1..5 in all
 three formats, the lgv route with integer and symbolic weights (and the
-usage error for weights that give a non-integer count), and the suites
-that evaluate integrands or carry witnesses.  A change that keeps these
-digests keeps the reports byte-identical.
+usage error for weights that give a non-integer count), and every verify
+suite at seed 11 in all three formats.  A change that keeps these digests
+keeps the reports byte-identical.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 
 from asmpp.cli import main
+from asmpp.verify import SUITES
 
 RATIONAL_A = ["-8/5", "1", "3/2", "3/7"]
 
@@ -36,9 +37,8 @@ def report_cases():
             for fmt in ("json", "csv"):
                 cases.append(("genfun", "lgv", "--n", str(n)) + extra + ("--format", fmt))
     cases.append(("genfun", "lgv", "--n", "3", "--weights", "1/3,1/3,1"))
-    for suite in ("a-independence", "zeilid", "appendix-d", "bijections",
-                  "involutions", "mrr"):
-        for fmt in ("json", "pretty"):
+    for suite in SUITES:
+        for fmt in ("json", "csv", "pretty"):
             cases.append(("verify", suite, "--seed", "11", "--format", fmt))
     return cases
 
@@ -310,28 +310,82 @@ DIGESTS = {
         "431c71980f53737f135fc0f8827bc7e2714efcb42fa50968e992a0830ef3effd",
     "genfun lgv --n 3 --weights 1/3,1/3,1":
         "98134f077cd8f02e9aa2105fa6c8a6464ee18f7d82c246d164c1fd7698469490",
-    "verify a-independence --seed 11 --format json":
-        "91ad5dd8df8ef23db443dffcd3324154c1fd628fb91e5abb796b4cc4733d1314",
-    "verify a-independence --seed 11 --format pretty":
-        "24c0bd7e877046a05f68ad2fcedf20db8a416aa55af8ffc36eddff48656533a8",
+    "verify doubly-refined --seed 11 --format json":
+        "6484e2a5254b71cfdad35b83ae3dddb12c1528db1bf832c8d4f848f3d7db86fb",
+    "verify doubly-refined --seed 11 --format csv":
+        "95b20f296906298d56cfa97a0838193740e75268c6214d75ccbb7b4ffb4d4883",
+    "verify doubly-refined --seed 11 --format pretty":
+        "8281f38e70a993c3ad053e70679fa799fb59df4078bbac7222a15ee64a133001",
+    "verify dyck --seed 11 --format json":
+        "4d2e23c7fedfa5e6c8b8c6cd6f10bf593c22f55cf40c9124cdb53cb2557231f2",
+    "verify dyck --seed 11 --format csv":
+        "adb9b4cfe274adacbea8297c27c0f72c88bc894dbab733dafdcc5b8d15eabd1b",
+    "verify dyck --seed 11 --format pretty":
+        "e81e4f7ba3cff5ef9c3987844ac4a48d806541fbb6f966d95cd98c6e0aef45e9",
+    "verify wheel --seed 11 --format json":
+        "35a8c449f08a5001da4dd518326b1814984c2f7b569099c96268c49c17a0e458",
+    "verify wheel --seed 11 --format csv":
+        "cdd07c57f050a1284ba13eff012034af305458c415a91e51696a3aaa5e3c93b3",
+    "verify wheel --seed 11 --format pretty":
+        "f364b959d574ac103fd80f4186b049debe5fee1226c0676d253b6231c9962506",
+    "verify recursion --seed 11 --format json":
+        "9d29a15ad6f5021776ed4641853dfe7288f589d1c28ecc1ff9c63daee2697910",
+    "verify recursion --seed 11 --format csv":
+        "212b7b6d142afb4839675a97f7b1b78540d798caf61bc37cb793e556041fbaa1",
+    "verify recursion --seed 11 --format pretty":
+        "9bd62761293837e909fb7f886c3c7f15f0c019eb4de02b0181100c71c68750ca",
     "verify zeilid --seed 11 --format json":
         "1143f284eb3ef62a00d230bab4ecd4eef65832d158dc72d9197e3bec0fd7a22b",
+    "verify zeilid --seed 11 --format csv":
+        "b6a97e4c169f4cfff15d994810ee4d8f70991667f4087055299d2f9190bfad4c",
     "verify zeilid --seed 11 --format pretty":
         "f5df19583a015aa82e3701e6272bac69cd9f3d74a1b6e432452a2a03212d0dab",
+    "verify a-independence --seed 11 --format json":
+        "91ad5dd8df8ef23db443dffcd3324154c1fd628fb91e5abb796b4cc4733d1314",
+    "verify a-independence --seed 11 --format csv":
+        "5a1410bbb8cf2c4b9ab4278cf7a9016ac171a09e21639d89a6aa49962fe77f0b",
+    "verify a-independence --seed 11 --format pretty":
+        "24c0bd7e877046a05f68ad2fcedf20db8a416aa55af8ffc36eddff48656533a8",
     "verify appendix-d --seed 11 --format json":
         "b3f1875c115e7d1533fef598aa551c7adf56a8e4631afe19f62ad17d4eb3878a",
+    "verify appendix-d --seed 11 --format csv":
+        "c0d8eba228817a6776fa3813b060cb0bf4dfd95116397e59d4bced51fd661c42",
     "verify appendix-d --seed 11 --format pretty":
         "a1eb4b0d35adf82360f6895882c16bb4d0021e8514558bf575935805292bdd90",
+    "verify even-partitions --seed 11 --format json":
+        "5fe68cbb22d38c6939c5cbf75b1f328eba791d8ddf911fe36b71ab92bf12a6ba",
+    "verify even-partitions --seed 11 --format csv":
+        "9612686fe2443716cd957ecc386f325d66c1ceedd5c0c6848e5bfbe21ae9c48d",
+    "verify even-partitions --seed 11 --format pretty":
+        "be74ed763db72335c12f43fef5b9d2dcf8de6d5db1c692a348bf3a32010dd71a",
     "verify bijections --seed 11 --format json":
         "c4f15664c704681c168c5de008e6e57f7f98fbed81b544680e3ecb5036aca9b5",
+    "verify bijections --seed 11 --format csv":
+        "7441c567e82220b93c0d5756d8fe677e2b836bd88e7ddb1833f433afec11a834",
     "verify bijections --seed 11 --format pretty":
         "899588fe02ebe47f75babedc1843065ed055cb13185d6b7e2c26f27cd94063a6",
     "verify involutions --seed 11 --format json":
         "08a3ce2667b9dc69594fdcdc59a316bf734c3575ac554f60b227e35274c9134d",
+    "verify involutions --seed 11 --format csv":
+        "3b0c812cc8ca32fef58d795f1ce7b19e064a92c794eafe6f9af66e3dcd9ff74c",
     "verify involutions --seed 11 --format pretty":
         "9df3fd5359bdefa9966ceb9008fe655b39727a5a41d56fdc4e79c7bb87df31dd",
     "verify mrr --seed 11 --format json":
         "c6667c3aa23fb37c1981d1ae9a40058a3817ff8621c7c0c7942deb770aebfd93",
+    "verify mrr --seed 11 --format csv":
+        "994061979559884b285f0ffcac4c01c0adbf926be106dfc5ac9524265654f97d",
     "verify mrr --seed 11 --format pretty":
         "b968be9789925346fdfd62d42f01f5589404e1f294a96ae1cf6222482677140b",
+    "verify zprime --seed 11 --format json":
+        "b10574f499a6a55f46616b1ec13ef305d6b66b89567222fedf33ce9c83ba7850",
+    "verify zprime --seed 11 --format csv":
+        "ea03f885f0c2903e0bcba3dddfff474c1c4e2ee34c0c8ae88adafe81b37b30bc",
+    "verify zprime --seed 11 --format pretty":
+        "fce333a3ed21a3278f6b50632666a9c6d12093bcec1922e98866f24b90c12d12",
+    "verify six-vertex --seed 11 --format json":
+        "8106883b701024b06d8f0c1617be78446b02d5c75a9ae82beb1f66b4cfc1e294",
+    "verify six-vertex --seed 11 --format csv":
+        "bb765968c95dc19c5a456bfc8164195d7e7252c362edd26acb3baa7d77a9448f",
+    "verify six-vertex --seed 11 --format pretty":
+        "f51897ea09e71029fcabb2cefb285955eb30c87d2a3bab15410398cf43dccd22",
 }
