@@ -1,7 +1,7 @@
 """Exact coefficient rings, sparse polynomials/series and determinants."""
 
 from .cyclo import CycloScalar, ZETA, ONE, Q3, Q3_INV, Q3_HALF, Q3_NEG_HALF
-from .poly import MultiPoly, MissingVariableError, poly_eval
+from .poly import MultiPoly
 from .series import (
     TruncatedSeries,
     WindowMismatchError,
@@ -10,12 +10,12 @@ from .series import (
     geometric_mul,
     positive_valuation,
 )
-from .matrix import SquareMatrix, determinant, determinant_cofactor
+from .matrix import determinant, determinant_cofactor
 
 __all__ = [
     "CycloScalar", "ZETA", "ONE", "Q3", "Q3_INV", "Q3_HALF", "Q3_NEG_HALF",
-    "MultiPoly", "MissingVariableError", "poly_eval",
+    "MultiPoly",
     "TruncatedSeries", "WindowMismatchError", "ContourSideError",
     "residue_at_zero", "geometric_mul", "positive_valuation",
-    "SquareMatrix", "determinant", "determinant_cofactor",
+    "determinant", "determinant_cofactor",
 ]

@@ -27,30 +27,12 @@ def _exact_div(a, b):
     return Fraction(a) / Fraction(b)
 
 
-class SquareMatrix:
-    """n x n matrix with entries in one integral domain."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix is not square")
-        self.n = n
-        self.rows = rows
-
-    def det(self):
-        return determinant(self)
-
-
 def determinant(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    rows = m.rows if isinstance(m, SquareMatrix) else [list(r) for r in m]
-    n = len(rows)
+    a = [list(r) for r in m]
+    n = len(a)
     if n == 0:
         return 1
-    a = [row[:] for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -84,7 +66,7 @@ def perm_sign(perm):
 
 def determinant_cofactor(m):
     """Cofactor (Laplace) expansion; independent oracle for small matrices."""
-    rows = m.rows if isinstance(m, SquareMatrix) else [list(r) for r in m]
+    rows = [list(r) for r in m]
     n = len(rows)
     if n == 0:
         return 1

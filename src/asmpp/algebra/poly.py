@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over an exact coefficient ring.
 
 A MultiPoly has an explicit ordered variable tuple and a sparse map from
-exponent vectors (tuples of nonnegative ints, one slot per variable) to
-coefficients.  Coefficients may be int, Fraction or CycloScalar; zero
-coefficients are never stored.  Instances are treated as immutable.
+exponent vectors (tuples of ints, one slot per variable) to coefficients.
+Exponents are nonnegative in a polynomial; the sum and product loops do not
+depend on that, and TruncatedSeries runs its Laurent arithmetic through
+them.  Coefficients may be int, Fraction or CycloScalar; zero coefficients
+are never stored.  Instances are treated as immutable.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloScalar
-
-
-class MissingVariableError(KeyError):
-    """An evaluation point does not cover every variable of the polynomial."""
 
 
 def _is_zero(c) -> bool:
@@ -55,40 +53,21 @@ class MultiPoly:
         exps[variables.index(name)] = 1
         return cls(variables, {tuple(exps): 1})
 
-    def lift(self, variables) -> "MultiPoly":
-        """Reinterpret over a superset of variables (order given by `variables`)."""
-        variables = tuple(variables)
-        pos = []
-        for v in self.vars:
-            if v not in variables:
-                raise ValueError(f"variable {v} missing from {variables}")
-            pos.append(variables.index(v))
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for p, e in zip(pos, exps):
-                new[p] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
-
     def align(self, variables) -> "MultiPoly":
-        """Re-express over `variables`: variables of self not listed must be
-        unused (exponent 0 everywhere); missing ones are added with 0."""
+        """Re-express over `variables`, in their order: a variable of self
+        that is not listed must be unused (exponent 0 everywhere), and a
+        listed variable that self lacks gets exponent 0."""
         variables = tuple(variables)
         if variables == self.vars:
             return self
-        drop = [i for i, v in enumerate(self.vars) if v not in variables]
-        for exps in self.terms:
-            for i in drop:
-                if exps[i]:
-                    raise ValueError(f"variable {self.vars[i]} is in use; cannot drop")
-        kept_vars = tuple(v for v in self.vars if v in variables)
-        kept_idx = [i for i, v in enumerate(self.vars) if v in variables]
-        reduced = MultiPoly(
-            kept_vars,
-            {tuple(e[i] for i in kept_idx): c for e, c in self.terms.items()},
-        )
-        return reduced.lift(variables)
+        for i, v in enumerate(self.vars):
+            if v not in variables and any(e[i] for e in self.terms):
+                raise ValueError(f"variable {v} is in use; cannot drop")
+        take = [self.vars.index(v) if v in self.vars else None for v in variables]
+        return MultiPoly(variables, {
+            tuple(0 if i is None else e[i] for i in take): c
+            for e, c in self.terms.items()
+        })
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -179,9 +158,6 @@ class MultiPoly:
             return -1
         return max(e[idx] for e in self.terms)
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
-
     def leading_term(self):
         """(exponent, coefficient) maximal in lexicographic order."""
         exps = max(self.terms)
@@ -241,45 +217,3 @@ def _coeff_div(a, b):
     if isinstance(a, CycloScalar) or isinstance(b, CycloScalar):
         return CycloScalar.coerce(a) / CycloScalar.coerce(b)
     return Fraction(a) / Fraction(b)
-
-
-def poly_eval(p: MultiPoly, point: dict):
-    """Evaluate exactly at `point` (variable name -> scalar).
-
-    Horner-style: substitute one variable at a time, factoring on its powers.
-    Raises MissingVariableError if a variable of p has no value.
-    """
-    if not p.terms:
-        return 0
-    used = [False] * len(p.vars)
-    for exps in p.terms:
-        for i, e in enumerate(exps):
-            if e:
-                used[i] = True
-    for v, u in zip(p.vars, used):
-        if u and v not in point:
-            raise MissingVariableError(v)
-    values = [point.get(v, 0) for v in p.vars]
-    return _eval_rec(p.terms, values, 0, len(p.vars))
-
-
-def _eval_rec(terms, values, axis, nvars):
-    if axis == nvars:
-        # terms maps the empty exponent () to a single coefficient
-        return terms.get((), 0)
-    # group by exponent of the current axis, then Horner on descending powers
-    groups = {}
-    for exps, coeff in terms.items():
-        groups.setdefault(exps[0], {})[exps[1:]] = coeff
-    value = values[axis]
-    result = 0
-    prev = None
-    for e in sorted(groups, reverse=True):
-        if prev is not None:
-            for _ in range(prev - e):
-                result = result * value
-        result = result + _eval_rec(groups[e], values, axis + 1, nvars)
-        prev = e
-    for _ in range(prev):
-        result = result * value
-    return result

@@ -4,15 +4,15 @@ This is the formal-residue engine's data structure: contour integrals are
 evaluated as coefficient extraction, so "integration" is multiplication of
 Laurent series followed by taking the coefficient of v**-1.
 
-Each series carries a per-variable window [lo, hi]; terms falling outside a
-window are discarded during arithmetic (lo/hi may be None for "unbounded").
+Each series carries a per-variable window [lo, hi] (lo/hi may be None for
+"unbounded").  Arithmetic runs on MultiPoly's sum and product loops and the
+constructor discards the terms that fall outside a window.
 Within the window everything is exact: coefficients are int, Fraction or
 CycloScalar and are never rounded.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycloScalar
 from .poly import MultiPoly
 
 
@@ -67,53 +67,30 @@ class TruncatedSeries:
                 f"({self.vars}, {self.window}) vs ({other.vars}, {other.window})"
             )
 
+    def _poly(self) -> MultiPoly:
+        return MultiPoly(self.vars, self.terms)
+
+    def _windowed(self, poly: MultiPoly) -> "TruncatedSeries":
+        return TruncatedSeries(self.vars, self.window, poly.terms)
+
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, 0) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return TruncatedSeries(self.vars, self.window, terms)
+        return self._windowed(self._poly() + other._poly())
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.vars, self.window, {e: -c for e, c in self.terms.items()}
-        )
+        return self._windowed(-self._poly())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        return self.mul_poly(MultiPoly(other.vars, other.terms))
-
-    def scale(self, coeff) -> "TruncatedSeries":
-        if not coeff:
-            return TruncatedSeries(self.vars, self.window)
-        return TruncatedSeries(
-            self.vars, self.window, {e: coeff * c for e, c in self.terms.items()}
-        )
+        return self.mul_poly(other._poly())
 
     def mul_poly(self, poly: MultiPoly) -> "TruncatedSeries":
         """Multiply by an untruncated polynomial; only the product is
         windowed (the polynomial itself may well lie outside the window)."""
-        lifted = poly.align(self.vars)
-        window = self.window
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in lifted.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if not _inside(exps, window):
-                    continue
-                acc = terms.get(exps, 0) + c1 * c2
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        return TruncatedSeries(self.vars, window, terms)
+        return self._windowed(self._poly() * poly.align(self.vars))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -139,12 +116,6 @@ class TruncatedSeries:
             if exps[idx] == exponent:
                 terms[exps[:idx] + exps[idx + 1:]] = coeff
         return TruncatedSeries(variables, window, terms)
-
-    def to_poly(self) -> MultiPoly:
-        for exps in self.terms:
-            if any(e < 0 for e in exps):
-                raise ValueError("series has negative exponents; not a polynomial")
-        return MultiPoly(self.vars, self.terms)
 
     def __repr__(self):
         return f"TruncatedSeries({self.vars!r}, {self.window!r}, {len(self.terms)} terms)"

@@ -141,7 +141,9 @@ def genfun_doubly_refined(n: int, convention: str = "tilde") -> GenPoly:
     "tilde": j is the last-row column as read.  "reversed": j is counted
     from the right (the two conventions are mirror images in y).
     """
-    poly = GenPoly(n, convention=convention)
+    if convention not in ("tilde", "reversed"):
+        raise ValueError(f"unknown convention {convention!r}")
+    poly = GenPoly()
     for a in enumerate_asms(n):
         st = refined_stat(a)
         j = st.j if convention == "tilde" else n - st.j + 1

@@ -168,7 +168,7 @@ def cmd_genfun(args):
         weights, symbols = _parse_weights(args.weights or ",".join(["1"] * n), n)
         result = lgv_genfun(n, weights)
         try:
-            poly = GenPoly.from_poly(n, result)
+            poly = GenPoly.from_poly(result)
         except ValueError as exc:
             raise UsageError(f"lgv {exc}; the weights must give integer counts")
         labels = tuple(symbols) + ("x", "y")[len(symbols):]
@@ -222,10 +222,12 @@ def cmd_verify(args):
     if args.format == "json":
         _emit(_json_dumps(report), args.out)
     elif args.format == "csv":
-        rows = [
-            [c["check"], c["n"], c.get("expected", ""), c.get("got", ""), c["pass"]]
-            for c in report["checks"]
-        ]
+        rows = []
+        for c in report["checks"]:
+            rows.append([c["check"], c["n"], c.get("expected", ""), c.get("got", ""),
+                         c["pass"]])
+            if not c["pass"] and "witness" in c:
+                rows.append(["# witness", json.dumps(c["witness"], sort_keys=True)])
         _emit(_csv_text(["check", "n", "expected", "got", "pass"], rows), args.out)
     else:
         lines = [f"suite {suite}  n={report['n_range'][0]}..{report['n_range'][1]}"

@@ -81,10 +81,13 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
     all_vars = spec.all_vars()
     rank = {v: i for i, v in enumerate(order)}
 
-    # validate factor exponents: nonnegative in every contour variable
-    lifted_factors = []
+    # Every factor must have nonnegative exponents.  A factor is multiplied
+    # in just before its earliest-integrated variable; one free of contour
+    # variables joins the tail, which multiplies the residue.
+    stages = [[] for _ in order]
+    tail = []
     for kind, p in spec.factors:
-        lifted = p.lift(all_vars) if p.vars != all_vars else p
+        lifted = p.align(all_vars)
         for exps in lifted.terms:
             if any(e < 0 for e in exps):
                 raise ValueError("factors must have nonnegative exponents")
@@ -92,17 +95,11 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
             raise ContourSideError(
                 "geometric factor has a constant term in the contour variables"
             )
-        lifted_factors.append((kind, p, lifted))
-
-    # a factor is multiplied in just before its earliest-integrated variable
-    stages = [[] for _ in order]
-    tail = []
-    for kind, p, lifted in lifted_factors:
-        idxs = [rank[v] for v in u_vars if v in p.vars and p.degree(v) > 0]
+        idxs = [rank[v] for v in u_vars if lifted.degree(v) > 0]
         if idxs:
             stages[min(idxs)].append((kind, lifted))
         else:
-            tail.append((kind, p))
+            tail.append((kind, lifted))
 
     # Exponents in contour variables never decrease (all factors checked
     # nonnegative), so only terms at exponent <= -1 can still reach the
@@ -122,12 +119,7 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
     for kind, p in tail:
         if kind != "poly":
             raise ContourSideError("geometric factor without contour variables")
-        idxs = [p.vars.index(v) for v in result.vars]
-        projected = MultiPoly(
-            result.vars,
-            {tuple(e[i] for i in idxs): c for e, c in p.terms.items()},
-        )
-        result = result * projected
+        result = result * p.align(result.vars)
     return result
 
 
@@ -260,13 +252,13 @@ def _interpolating(n, avec, first, order, hi) -> GenPoly:
     for ul, a_l in zip(u, avec):
         if not isinstance(a_l, MultiPoly):
             a_l = MultiPoly.constant(XY, Fraction(a_l))
-        quad = a_l.lift(variables) * _mono(variables, {ul: 2})
+        quad = a_l.align(variables) * _mono(variables, {ul: 2})
         spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1}) + quad)
         spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1, "x": 1}))
         # 1/(1 + u_l (1-y)) = 1/(1 - (y-1) u_l)
         spec.add_geom(_mono(variables, {ul: 1, "y": 1}) + _mono(variables, {ul: 1}, -1))
     _add_qkz_cross(spec, variables, u)
-    return GenPoly.from_poly(n, iterated_residue(spec, order=order, hi=hi))
+    return GenPoly.from_poly(iterated_residue(spec, order=order, hi=hi))
 
 
 def integral_A(n: int, order=None, hi=None) -> GenPoly:
@@ -311,7 +303,7 @@ def integral_U(n: int, form: str = "raw", order=None, hi=None) -> GenPoly:
             one_plus = _mono(variables, {}) + _mono(variables, {ui: 1})
             spec.add_poly(one_plus ** (i - 2))
     _add_cauchy_cross(spec, variables, u)
-    return GenPoly.from_poly(n, iterated_residue(spec, order=order, hi=hi))
+    return GenPoly.from_poly(iterated_residue(spec, order=order, hi=hi))
 
 
 def integral_I(n: int, avec, order=None, hi=None) -> GenPoly:
@@ -362,7 +354,7 @@ def _antisym_lhs(u, variables, coeff_vars, phi, tau):
     qKZ cross factors, with denominators u_i**(2i)."""
     spec = IntegrandSpec(tuple(u), {ui: 2 * i for i, ui in enumerate(u, 1)},
                          coeff_vars=coeff_vars)
-    spec.add_poly(phi.lift(variables))
+    spec.add_poly(phi.align(variables))
     _add_qkz_cross(spec, variables, u, tau)
     return spec
 
@@ -373,13 +365,13 @@ def zeilid_check(n: int, tau, phi: MultiPoly, order=None, hi=None):
     u = [_uvar(i) for i in range(1, n + 1)]
     coeff_vars = tuple(v for v in phi.vars if v not in u)
     variables = tuple(u) + coeff_vars
-    if not is_symmetric(phi.lift(variables), u):
+    if not is_symmetric(phi.align(variables), u):
         raise ValueError("phi must be symmetric in the contour variables")
 
     lhs = _antisym_lhs(u, variables, coeff_vars, phi, tau)
     rhs = IntegrandSpec(tuple(u), {_uvar(i): 2 * i for i in range(1, n + 1)},
                         coeff_vars=coeff_vars)
-    rhs.add_poly(phi.lift(variables))
+    rhs.add_poly(phi.align(variables))
     for i in range(1, n + 1):
         ui = _uvar(i)
         one_tau = _mono(variables, {}) + _mono(variables, {ui: 1}, tau)
@@ -432,20 +424,13 @@ def even_partition_sum_check(n: int, degree_bound: int):
             sign = perm_sign(perm)
             exps = tuple(seq[perm[i]] for i in range(n))
             lhs = lhs + TruncatedSeries(u, window, {exps: sign})
+    product = IntegrandSpec(tuple(u), {})
+    _add_cauchy_cross(product, u, u)
+    for ui in u:
+        product.add_geom(_mono(u, {ui: 2}))
     rhs = TruncatedSeries.constant(u, window, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = MultiPoly(u, {
-                tuple(1 if k == j else 0 for k in range(n)): 1,
-                tuple(1 if k == i else 0 for k in range(n)): -1,
-            })
-            rhs = rhs.mul_poly(diff)
-    for i in range(n):
-        for j in range(i, n):
-            g = MultiPoly(u, {
-                tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(n)): 1,
-            })
-            rhs = geometric_mul(rhs, g, u)
+    for kind, p in product.factors:
+        rhs = rhs.mul_poly(p) if kind == "poly" else geometric_mul(rhs, p, u)
     lt = {e: c for e, c in lhs.terms.items() if sum(e) <= D}
     rt = {e: c for e, c in rhs.terms.items() if sum(e) <= D}
     return check("even-partition-sum", n, f"{len(rt)} terms", f"{len(lt)} terms",

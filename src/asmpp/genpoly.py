@@ -13,33 +13,21 @@ from .algebra.poly import MultiPoly
 
 
 class GenPoly:
-    """Polynomial sum over objects of x**i * y**j.
+    """Polynomial sum over objects of x**i * y**j."""
 
-    `convention` records whether the second index is taken as-is ("tilde")
-    or reversed ("reversed"); it is metadata, equality compares coefficients.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("n", "convention", "coeffs")
-
-    def __init__(self, n, coeffs=None, convention="tilde"):
-        if convention not in ("tilde", "reversed"):
-            raise ValueError(f"unknown convention {convention!r}")
-        self.n = n
-        self.convention = convention
+    def __init__(self):
         self.coeffs = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if c:
-                    self.add_term(i, j, c)
 
     @classmethod
-    def from_poly(cls, n, poly) -> "GenPoly":
+    def from_poly(cls, poly) -> "GenPoly":
         """The GenPoly of a MultiPoly in x and y (exponents read by variable
         name) or of a scalar constant; a non-integer coefficient raises
         ValueError."""
         if not isinstance(poly, MultiPoly):
             poly = MultiPoly((), {(): poly})
-        result = cls(n)
+        result = cls()
         for exps, coeff in poly.terms.items():
             value = Fraction(coeff)
             if value.denominator != 1:
@@ -113,7 +101,7 @@ class GenPoly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"GenPoly(n={self.n}, {self.coeffs!r}, convention={self.convention!r})"
+        return f"GenPoly({self.coeffs!r})"
 
     def to_json_dict(self):
         return {f"({i},{j})": c for (i, j), c in sorted(self.coeffs.items())}

@@ -81,4 +81,4 @@ def lgv_genfun_xy(n: int) -> GenPoly:
     y = MultiPoly.variable(xy, "y")
     one = MultiPoly.constant(xy, 1)
     weights = [x, y] + [one] * (n - 2) if n >= 2 else [x]
-    return GenPoly.from_poly(n, lgv_genfun(n, weights[:n]))
+    return GenPoly.from_poly(lgv_genfun(n, weights[:n]))

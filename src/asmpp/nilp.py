@@ -179,7 +179,7 @@ def genfun_U(n: int, i: int, j: int) -> GenPoly:
     """Sum over bundles of x**u^i * y**u^j."""
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("statistic indices must be in [0, n]")
-    poly = GenPoly(n, convention="tilde")
+    poly = GenPoly()
     for p in enumerate_nilps(n):
         poly.add_term(u_statistic(p, i), u_statistic(p, j))
     return poly

@@ -125,9 +125,7 @@ six_vertex_to_asm = to_asm
 
 
 def _inv(x):
-    if isinstance(x, CycloScalar):
-        return x.inverse()
-    return Fraction(1) / Fraction(x) if not isinstance(x, Fraction) else 1 / x
+    return Fraction(1) / x
 
 
 def _cell_class_counts(a: Asm):

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -245,6 +246,12 @@ def test_bijection_failure_names_the_first_broken_asm(monkeypatch, picks):
         f"         witness  {json.dumps(asms[picks[0]].to_rows())}",
     ]
     assert sum("witness" in line for line in lines) == 1
+    code, out = run_cli("verify", "bijections", "--n", "3", "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(out.splitlines()))
+    at = rows.index(["asm-vertex-roundtrip", "3", "identity", "mismatch", "False"])
+    assert rows[at + 1] == ["# witness", json.dumps(asms[picks[0]].to_rows())]
+    assert sum(row[0] == "# witness" for row in rows) == 1
 
 
 @pytest.mark.parametrize("picks", [(4,), (1, 4)])

@@ -168,7 +168,7 @@ def reference_residue(spec, order=None, hi=None):
                 series = geometric_mul(series, p, remaining)
         series = residue_at_zero(series, v)
         remaining.remove(v)
-    result = series.to_poly()
+    result = MultiPoly(series.vars, series.terms)
     for _, p in tail:
         result = result * p.align(result.vars)
     return result

@@ -4,7 +4,6 @@ from random import Random
 from asmpp.algebra import (
     CycloScalar,
     MultiPoly,
-    SquareMatrix,
     determinant,
     determinant_cofactor,
 )
@@ -47,7 +46,3 @@ def test_polynomial_entries_fraction_free():
     m = [[x + y, x * y, 1 + x], [y, x ** 2, y ** 2 + 1], [x, 1 + y, x * y + 3]]
     assert determinant(m) == determinant_cofactor(m)
 
-
-def test_square_matrix_wrapper():
-    m = SquareMatrix([[1, 2], [3, 4]])
-    assert m.det() == -2

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from asmpp.algebra.cyclo import Q3
 from asmpp.algebra.poly import MultiPoly
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
 from asmpp.genpoly import GenPoly
@@ -74,15 +76,32 @@ def test_weight_length_check():
 
 
 def test_genpoly_from_poly():
-    counts = GenPoly.from_poly(3, 5)
+    counts = GenPoly.from_poly(5)
     assert counts.coeffs == {(0, 0): 5}
-    assert GenPoly.from_poly(3, 0).coeffs == {}
+    assert GenPoly.from_poly(0).coeffs == {}
     poly = MultiPoly(("y", "x"), {(2, 1): 3, (0, 0): Fraction(4)})
-    counts = GenPoly.from_poly(3, poly)
+    counts = GenPoly.from_poly(poly)
     assert counts.coeffs == {(1, 2): 3, (0, 0): 4}
     assert all(type(c) is int for c in counts.coeffs.values())
     half = MultiPoly(("x", "y"), {(1, 0): Fraction(1, 2)})
     with pytest.raises(ValueError, match="1/2 is not an integer"):
-        GenPoly.from_poly(1, half)
+        GenPoly.from_poly(half)
     with pytest.raises(ValueError):
-        GenPoly.from_poly(1, Fraction(1, 2))
+        GenPoly.from_poly(Fraction(1, 2))
+
+
+def test_genpoly_evaluate():
+    xy = ("x", "y")
+    x, y = MultiPoly.variable(xy, "x"), MultiPoly.variable(xy, "y")
+    assert GenPoly.from_poly(x + y).evaluate(1, 1) == 2
+    assert GenPoly.from_poly(x ** 2 * y).evaluate(2, 3) == 12
+    assert GenPoly.from_poly(x ** 2 + x + 1).evaluate(Q3, 0) == 0
+    assert GenPoly.from_poly(MultiPoly(xy)).evaluate(Fraction(1, 3), 2) == 0
+    rng = Random(0)
+    for _ in range(25):
+        terms = {(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(-9, 9)
+                 for _ in range(6)}
+        x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        naive = sum(c * x0 ** i * y0 ** j for (i, j), c in terms.items())
+        assert GenPoly.from_poly(MultiPoly(xy, terms)).evaluate(x0, y0) == naive

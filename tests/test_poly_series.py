@@ -5,13 +5,10 @@ import pytest
 
 from asmpp.algebra import (
     ContourSideError,
-    MissingVariableError,
     MultiPoly,
-    Q3,
     TruncatedSeries,
     WindowMismatchError,
     geometric_mul,
-    poly_eval,
     residue_at_zero,
 )
 
@@ -26,36 +23,14 @@ def yvar():
     return MultiPoly.variable(XY, "y")
 
 
-def test_eval_examples():
-    assert poly_eval(xvar() + yvar(), {"x": 1, "y": 1}) == 2
-    assert poly_eval(xvar() ** 2 * yvar(), {"x": 2, "y": 3}) == 12
-    q = MultiPoly.variable(("q",), "q")
-    assert poly_eval(q ** 2 + q + 1, {"q": Q3}) == 0
-
-
-def test_eval_missing_variable():
-    with pytest.raises(MissingVariableError):
-        poly_eval(xvar() + yvar(), {"x": 1})
-
-
-def test_eval_zero_polynomial():
-    assert poly_eval(MultiPoly(XY), {}) == 0
-    # unused variables need no value
-    assert poly_eval(MultiPoly.constant(XY, Fraction(5, 2)), {}) == Fraction(5, 2)
-
-
-def test_eval_horner_matches_naive():
-    rng = Random(0)
-    for _ in range(25):
-        terms = {
-            (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-9, 9))
-            for _ in range(6)
-        }
-        p = MultiPoly(XY, terms)
-        x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        naive = sum(c * x0 ** e[0] * y0 ** e[1] for e, c in p.terms.items())
-        assert poly_eval(p, {"x": x0, "y": y0}) == naive
+def test_align_adds_drops_and_reorders_variables():
+    p = MultiPoly(("x", "u"), {(2, 0): 3, (1, 0): -1})
+    assert p.align(("x", "u")) is p
+    assert p.align(("y", "x", "u")).terms == {(0, 2, 0): 3, (0, 1, 0): -1}
+    assert p.align(("x",)).terms == {(2,): 3, (1,): -1}
+    assert p.align(("y", "x")) == MultiPoly(("y", "x"), {(0, 2): 3, (0, 1): -1})
+    with pytest.raises(ValueError, match="x is in use"):
+        p.align(("u", "y"))
 
 
 def test_poly_exact_division():
@@ -161,6 +136,11 @@ def test_residue_examples_and_linearity():
         fb = TruncatedSeries(("v",), w, {(rng.randint(-2, 3),): Fraction(rng.randint(-5, 5))
                                          for _ in range(3)})
         al, be = Fraction(3, 2), Fraction(-7, 5)
-        lhs = residue_at_zero(fa.scale(al) + fb.scale(be), "v")
-        rhs = residue_at_zero(fa, "v").scale(al) + residue_at_zero(fb, "v").scale(be)
+        lhs = residue_at_zero(fa * _constant(fa, al) + fb * _constant(fb, be), "v")
+        ra, rb = residue_at_zero(fa, "v"), residue_at_zero(fb, "v")
+        rhs = ra * _constant(ra, al) + rb * _constant(rb, be)
         assert lhs == rhs
+
+
+def _constant(series, value):
+    return TruncatedSeries.constant(series.vars, series.window, value)

@@ -3,8 +3,9 @@
 Each digest is the sha256 of one command line's exit code, stdout and
 stderr.  The set covers every integral route and form at n = 1..5 in all
 three formats, the lgv route with integer and symbolic weights (and the
-usage error for weights that give a non-integer count), and every verify
-suite at seed 11 in all three formats.  A change that keeps these digests
+usage error for weights that give a non-integer count), the brute asm and
+nilp routes at n = 1..5 in all three formats (nilp with two statistic
+pairs), and every verify suite at seed 11 in all three formats.  A change that keeps these digests
 keeps the reports byte-identical.
 """
 
@@ -37,6 +38,12 @@ def report_cases():
             for fmt in ("json", "csv"):
                 cases.append(("genfun", "lgv", "--n", str(n)) + extra + ("--format", fmt))
     cases.append(("genfun", "lgv", "--n", "3", "--weights", "1/3,1/3,1"))
+    for n in range(1, 6):
+        variants = [("asm-tilde",), ("asm-reversed",),
+                    ("nilp", "--i", "0", "--j", "1"), ("nilp", "--i", "1", "--j", str(n))]
+        for v in variants:
+            for fmt in ("json", "csv", "pretty"):
+                cases.append(("genfun", v[0], "--n", str(n)) + v[1:] + ("--format", fmt))
     for suite in SUITES:
         for fmt in ("json", "csv", "pretty"):
             cases.append(("verify", suite, "--seed", "11", "--format", fmt))
@@ -310,6 +317,126 @@ DIGESTS = {
         "431c71980f53737f135fc0f8827bc7e2714efcb42fa50968e992a0830ef3effd",
     "genfun lgv --n 3 --weights 1/3,1/3,1":
         "98134f077cd8f02e9aa2105fa6c8a6464ee18f7d82c246d164c1fd7698469490",
+    "genfun asm-tilde --n 1 --format json":
+        "a5f3c38e1ab782099cb5c16917ff5d25eff143ffef6bc984143e1d8685113a64",
+    "genfun asm-tilde --n 1 --format csv":
+        "6222bcec8aedde6ac7fe91a9b517f7f21df5bc360aba05873291cadc5bf422cf",
+    "genfun asm-tilde --n 1 --format pretty":
+        "16263987a16917e79630f807ee47c2fed5ebadb39f45832588607a28c68c2e29",
+    "genfun asm-reversed --n 1 --format json":
+        "9f7eaecc2e0e24e66cab947590eb59ea57515b5b27c62094ebe81a8e14d8d723",
+    "genfun asm-reversed --n 1 --format csv":
+        "6222bcec8aedde6ac7fe91a9b517f7f21df5bc360aba05873291cadc5bf422cf",
+    "genfun asm-reversed --n 1 --format pretty":
+        "8c7b8e642fef1c7f72d720d683fb73ae3870ca2b0c1a849b128c18552433d362",
+    "genfun nilp --n 1 --i 0 --j 1 --format json":
+        "eadf652da1d826d9108828bc25fe484eebdf001c9054b0921034efe2065567b1",
+    "genfun nilp --n 1 --i 0 --j 1 --format csv":
+        "6222bcec8aedde6ac7fe91a9b517f7f21df5bc360aba05873291cadc5bf422cf",
+    "genfun nilp --n 1 --i 0 --j 1 --format pretty":
+        "ff904220d8e5dd3940bcef698e74625e126ef576c2e01af6bf751484af6bd95f",
+    "genfun nilp --n 1 --i 1 --j 1 --format json":
+        "eadf652da1d826d9108828bc25fe484eebdf001c9054b0921034efe2065567b1",
+    "genfun nilp --n 1 --i 1 --j 1 --format csv":
+        "6222bcec8aedde6ac7fe91a9b517f7f21df5bc360aba05873291cadc5bf422cf",
+    "genfun nilp --n 1 --i 1 --j 1 --format pretty":
+        "ff904220d8e5dd3940bcef698e74625e126ef576c2e01af6bf751484af6bd95f",
+    "genfun asm-tilde --n 2 --format json":
+        "f60bfcde62ada5af1173dba7a27f0e3290c6b018fc791612fa8e5f528d8c076a",
+    "genfun asm-tilde --n 2 --format csv":
+        "a0fe4dc170158f4e8d65b4d739d6e99adc1a887b384ca3af9e8495096eb77903",
+    "genfun asm-tilde --n 2 --format pretty":
+        "51de7e87267cdd3359083e078f8036dbe217f7128cfd736c71c072af20b74f44",
+    "genfun asm-reversed --n 2 --format json":
+        "35f45f64286218ab4b1680f8cc7f383a7f22faa83084df3534fadeeeb43bfd0c",
+    "genfun asm-reversed --n 2 --format csv":
+        "98ee11ab94e0395d515cfe73ea5c61c40ece9cc8990bb994651b1fa8439b2fc1",
+    "genfun asm-reversed --n 2 --format pretty":
+        "6c1f5386da579321fe40f7d4125e4b6dac9eb08e90ce5242d9530abeaf72dc3e",
+    "genfun nilp --n 2 --i 0 --j 1 --format json":
+        "7ccbff86fcb104c7cd250bae34c712771fe4a2697c72bd0afcaed592325424f2",
+    "genfun nilp --n 2 --i 0 --j 1 --format csv":
+        "a0fe4dc170158f4e8d65b4d739d6e99adc1a887b384ca3af9e8495096eb77903",
+    "genfun nilp --n 2 --i 0 --j 1 --format pretty":
+        "6ca4a3f459e0fa33cab7d7cb60b2eb191d95a499e03410801c86ea7b4bea4dea",
+    "genfun nilp --n 2 --i 1 --j 2 --format json":
+        "94deaf2fcca02749b16539d58e692aa95dc1c674112bdbeb56905a7b0ae9cab8",
+    "genfun nilp --n 2 --i 1 --j 2 --format csv":
+        "98ee11ab94e0395d515cfe73ea5c61c40ece9cc8990bb994651b1fa8439b2fc1",
+    "genfun nilp --n 2 --i 1 --j 2 --format pretty":
+        "9c780a5421458401bb3b738e2978a12d2968630f11dc3705322edaf1a616a771",
+    "genfun asm-tilde --n 3 --format json":
+        "d4fca15091fc2c0e527d48b075ce765c0f2f1ea7a2ffba002590c218c20941bd",
+    "genfun asm-tilde --n 3 --format csv":
+        "a0fbb736330bb854e46e7a135424776f8abcd6222454ff388656eb5e39200cac",
+    "genfun asm-tilde --n 3 --format pretty":
+        "c3ad6fef6bdd8daa13cbd53fee20d181f3e18075c970c799538063554b08264a",
+    "genfun asm-reversed --n 3 --format json":
+        "54b6897e551334b96d5b6fa1482d73b6eaba97729d728a038555cbb1f020164f",
+    "genfun asm-reversed --n 3 --format csv":
+        "2fa7e9f5e946e7d0cab3d4b6d582bcab92e35a31687ef16605a890848525c33f",
+    "genfun asm-reversed --n 3 --format pretty":
+        "8129d563c148d67577dcc9fab0fea3a34c4b51afcf114fbdf41f2c4db1ca1cc2",
+    "genfun nilp --n 3 --i 0 --j 1 --format json":
+        "837340efce659992c4911eb3ee3aa800a418138efd40fad1cb89709e7878847a",
+    "genfun nilp --n 3 --i 0 --j 1 --format csv":
+        "a0fbb736330bb854e46e7a135424776f8abcd6222454ff388656eb5e39200cac",
+    "genfun nilp --n 3 --i 0 --j 1 --format pretty":
+        "550da8313fafa286233aa90a01cbd8d65586c14f1eafe51e9600983b84e84ca9",
+    "genfun nilp --n 3 --i 1 --j 3 --format json":
+        "60eb5ee034f9c29062f65db7ae286846b7a45dd6efb43b2487bef7491bb16fd7",
+    "genfun nilp --n 3 --i 1 --j 3 --format csv":
+        "2fa7e9f5e946e7d0cab3d4b6d582bcab92e35a31687ef16605a890848525c33f",
+    "genfun nilp --n 3 --i 1 --j 3 --format pretty":
+        "a0a1cb6f707e51c9450b8ccecefbda5b1a8bc6b849a1e2a51546ca142711bab6",
+    "genfun asm-tilde --n 4 --format json":
+        "0018f13fade00aba3e1c683624c989e4bdf5f45d705fc61e38d4260125755e66",
+    "genfun asm-tilde --n 4 --format csv":
+        "27b6ac729466229bdc164deed2a1abf2bd9951201074f9aee4d85a2661d5ae9e",
+    "genfun asm-tilde --n 4 --format pretty":
+        "0416fb0bbd8dae32eda35450fcf235312b561a21148451c82f3d772fcb2c1ead",
+    "genfun asm-reversed --n 4 --format json":
+        "f2d7cd886637c75fa049ddea71e9499008545c9dad27468671c494a9f48d8b4d",
+    "genfun asm-reversed --n 4 --format csv":
+        "3c5de71766c0441596fb1b718e1e8d019e7007c023dbcad18c4be6daaf26fda7",
+    "genfun asm-reversed --n 4 --format pretty":
+        "6173f8045626a6791521229e1eca3b244ecf022dfb96310b7ec418e60f43b7e6",
+    "genfun nilp --n 4 --i 0 --j 1 --format json":
+        "60cd8b0249aa484bca2c64727d4118d3dec56763a7aa8583f56e1fdcf994b50d",
+    "genfun nilp --n 4 --i 0 --j 1 --format csv":
+        "27b6ac729466229bdc164deed2a1abf2bd9951201074f9aee4d85a2661d5ae9e",
+    "genfun nilp --n 4 --i 0 --j 1 --format pretty":
+        "381933336e79995f08c1d035a9c06abcf290a6527155fb856d06fe7854780f92",
+    "genfun nilp --n 4 --i 1 --j 4 --format json":
+        "ebcf91b10829d0686ae47a75474249ebd6b8391e9ae3c093e46c3a7c3d18f72a",
+    "genfun nilp --n 4 --i 1 --j 4 --format csv":
+        "3c5de71766c0441596fb1b718e1e8d019e7007c023dbcad18c4be6daaf26fda7",
+    "genfun nilp --n 4 --i 1 --j 4 --format pretty":
+        "a8fbffab4e4cac06a674fc2ecdeb9c3168054fe00bdeaac210b801684e5a9e7a",
+    "genfun asm-tilde --n 5 --format json":
+        "df0e6f2839ce27e6bc3a57c82c3f459c1ba143dcaf5cae86ac550384ea73abfd",
+    "genfun asm-tilde --n 5 --format csv":
+        "cde7c6fd20d1d3190dc848969b055fff8c5f4a84bda71e5e068fcf085c92dc9d",
+    "genfun asm-tilde --n 5 --format pretty":
+        "d68544ba5a61c600b3d1b82e48e1efc4f5e420b1cc443f30f0669863375b8144",
+    "genfun asm-reversed --n 5 --format json":
+        "8e777f4986d020a0333f2df4b525446024fffdf0ab5393a7628af6177796d229",
+    "genfun asm-reversed --n 5 --format csv":
+        "a48a745e7774d570d039d5ff0d640f21e55716ce5c34989dc37edfbd6e075ca6",
+    "genfun asm-reversed --n 5 --format pretty":
+        "256d7a40917793549cc34d06ed892da669472c0e1c0761f5c5ab07bed65844a8",
+    "genfun nilp --n 5 --i 0 --j 1 --format json":
+        "36975c570608a4c1e26f146ddd6fde813c138bc7c50ece6e9190fe3f2515f34d",
+    "genfun nilp --n 5 --i 0 --j 1 --format csv":
+        "cde7c6fd20d1d3190dc848969b055fff8c5f4a84bda71e5e068fcf085c92dc9d",
+    "genfun nilp --n 5 --i 0 --j 1 --format pretty":
+        "9984ce5741e7a764be2a494d5448e7528f06988e15e21ed899e396107680b2eb",
+    "genfun nilp --n 5 --i 1 --j 5 --format json":
+        "f08cf78869fa329e76b9173a5122a0b8a353387ebbe0e3a3c42f7cd1b83ea94b",
+    "genfun nilp --n 5 --i 1 --j 5 --format csv":
+        "a48a745e7774d570d039d5ff0d640f21e55716ce5c34989dc37edfbd6e075ca6",
+    "genfun nilp --n 5 --i 1 --j 5 --format pretty":
+        "92a96558c6aab77681d451b4f650f326f42b75c45203fcdca2e5022dd7283537",
     "verify doubly-refined --seed 11 --format json":
         "6484e2a5254b71cfdad35b83ae3dddb12c1528db1bf832c8d4f848f3d7db86fb",
     "verify doubly-refined --seed 11 --format csv":
