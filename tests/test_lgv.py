@@ -1,9 +1,7 @@
 from fractions import Fraction
-from random import Random
 
 import pytest
 
-from asmpp.algebra.cyclo import Q3
 from asmpp.algebra.poly import MultiPoly
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
 from asmpp.genpoly import GenPoly
@@ -88,20 +86,3 @@ def test_genpoly_from_poly():
         GenPoly.from_poly(half)
     with pytest.raises(ValueError):
         GenPoly.from_poly(Fraction(1, 2))
-
-
-def test_genpoly_evaluate():
-    xy = ("x", "y")
-    x, y = MultiPoly.variable(xy, "x"), MultiPoly.variable(xy, "y")
-    assert GenPoly.from_poly(x + y).evaluate(1, 1) == 2
-    assert GenPoly.from_poly(x ** 2 * y).evaluate(2, 3) == 12
-    assert GenPoly.from_poly(x ** 2 + x + 1).evaluate(Q3, 0) == 0
-    assert GenPoly.from_poly(MultiPoly(xy)).evaluate(Fraction(1, 3), 2) == 0
-    rng = Random(0)
-    for _ in range(25):
-        terms = {(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(-9, 9)
-                 for _ in range(6)}
-        x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        naive = sum(c * x0 ** i * y0 ** j for (i, j), c in terms.items())
-        assert GenPoly.from_poly(MultiPoly(xy, terms)).evaluate(x0, y0) == naive

@@ -11,6 +11,8 @@ from asmpp.algebra import (
     geometric_mul,
     residue_at_zero,
 )
+from asmpp.algebra.cyclo import Q3
+from asmpp.genpoly import GenPoly
 
 XY = ("x", "y")
 
@@ -31,6 +33,28 @@ def test_align_adds_drops_and_reorders_variables():
     assert p.align(("y", "x")) == MultiPoly(("y", "x"), {(0, 2): 3, (0, 1): -1})
     with pytest.raises(ValueError, match="x is in use"):
         p.align(("u", "y"))
+
+
+def test_eval_examples():
+    assert GenPoly.from_poly(xvar() + yvar()).evaluate(1, 1) == 2
+    assert GenPoly.from_poly(xvar() ** 2 * yvar()).evaluate(2, 3) == 12
+    assert GenPoly.from_poly(xvar() ** 2 + xvar() + 1).evaluate(Q3, 0) == 0
+
+
+def test_eval_zero_polynomial():
+    assert GenPoly.from_poly(MultiPoly(XY)).evaluate(Fraction(1, 3), 2) == 0
+    assert GenPoly.from_poly(MultiPoly.constant(XY, 5)).evaluate(Fraction(1, 3), 2) == 5
+
+
+def test_eval_horner_matches_naive():
+    rng = Random(0)
+    for _ in range(25):
+        terms = {(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(-9, 9)
+                 for _ in range(6)}
+        x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        naive = sum(c * x0 ** i * y0 ** j for (i, j), c in terms.items())
+        assert GenPoly.from_poly(MultiPoly(XY, terms)).evaluate(x0, y0) == naive
 
 
 def test_poly_exact_division():
