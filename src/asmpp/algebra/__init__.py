@@ -10,12 +10,12 @@ from .series import (
     geometric_mul,
     positive_valuation,
 )
-from .matrix import determinant, determinant_cofactor
+from .matrix import determinant
 
 __all__ = [
     "CycloScalar", "ZETA", "ONE", "Q3", "Q3_INV", "Q3_HALF", "Q3_NEG_HALF",
     "MultiPoly",
     "TruncatedSeries", "WindowMismatchError", "ContourSideError",
     "residue_at_zero", "geometric_mul", "positive_valuation",
-    "determinant", "determinant_cofactor",
+    "determinant",
 ]

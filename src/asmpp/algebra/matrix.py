@@ -2,8 +2,7 @@
 
 Fraction-free Bareiss elimination is used throughout: over a field the
 divisions are ordinary, over a polynomial ring they are exact polynomial
-divisions (guaranteed exact by the Sylvester identity).  A cofactor
-expansion is kept as an independent oracle for tests.
+divisions (guaranteed exact by the Sylvester identity).
 """
 
 from __future__ import annotations
@@ -63,25 +62,3 @@ def perm_sign(perm):
                 sign = -sign
     return sign
 
-
-def determinant_cofactor(m):
-    """Cofactor (Laplace) expansion; independent oracle for small matrices."""
-    rows = [list(r) for r in m]
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = entry * determinant_cofactor(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return 0 * rows[0][0]
-    return total

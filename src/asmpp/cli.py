@@ -28,8 +28,8 @@ from .verify import SUITES, run_verify
 
 ENUM_LIMITS = {"asm": 7, "nilp": 7, "tsscpp": 7}
 GENFUN_LIMITS = {
-    "asm-tilde": 7, "asm-reversed": 7, "nilp": 7, "lgv": 7,
-    "integral-A": 6, "integral-U": 6, "integral-I": 6,
+    "asm-tilde": 7, "asm-reversed": 7, "nilp": 7, "lgv": 9,
+    "integral-A": 7, "integral-U": 7, "integral-I": 7,
 }
 
 
@@ -128,7 +128,10 @@ def _parse_weights(text, n):
     weights = []
     for t in tokens:
         if _is_number(t):
-            weights.append(MultiPoly.constant(("x", "y"), Fraction(t)))
+            value = Fraction(t)  # an integer weight stays an int: faster products
+            if value.denominator == 1:
+                value = value.numerator
+            weights.append(MultiPoly.constant(("x", "y"), value))
         else:
             weights.append(MultiPoly.variable(("x", "y"), axis[t]))
     return weights, symbols

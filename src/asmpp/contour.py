@@ -241,7 +241,12 @@ def _interpolating(n, avec, first, order, hi) -> GenPoly:
     """The interpolating integral over the n-1 variables u_first, u_first+1,
     ...: the k-th gets the denominator u**(2k), numerators (1 + u + a_k u**2)
     and (1 + x u), the factor 1/(1 + u(1-y)) expanded about the origin, and
-    every pair gets the qKZ cross factor."""
+    every pair gets the qKZ cross factor.
+
+    A scalar a_k = p/d enters as d(1 + u + a_k u**2) = d + d u + p u**2, so
+    the residue runs on integers; it is divided once by the product of the
+    denominators d.  A polynomial a_k enters as it is (d = 1).
+    """
     u = [_uvar(l) for l in range(first, first + n - 1)]
     variables = tuple(u) + XY
     spec = IntegrandSpec(
@@ -249,16 +254,25 @@ def _interpolating(n, avec, first, order, hi) -> GenPoly:
         denom_powers={ul: 2 * k for k, ul in enumerate(u, 1)},
         coeff_vars=XY,
     )
+    scale = 1
     for ul, a_l in zip(u, avec):
-        if not isinstance(a_l, MultiPoly):
-            a_l = MultiPoly.constant(XY, Fraction(a_l))
-        quad = a_l.align(variables) * _mono(variables, {ul: 2})
-        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1}) + quad)
+        if isinstance(a_l, MultiPoly):
+            d = 1
+            quad = a_l.align(variables) * _mono(variables, {ul: 2})
+        else:
+            a_l = Fraction(a_l)
+            d = a_l.denominator
+            quad = _mono(variables, {ul: 2}, a_l.numerator)
+        scale *= d
+        spec.add_poly(_mono(variables, {}, d) + _mono(variables, {ul: 1}, d) + quad)
         spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1, "x": 1}))
         # 1/(1 + u_l (1-y)) = 1/(1 - (y-1) u_l)
         spec.add_geom(_mono(variables, {ul: 1, "y": 1}) + _mono(variables, {ul: 1}, -1))
     _add_qkz_cross(spec, variables, u)
-    return GenPoly.from_poly(iterated_residue(spec, order=order, hi=hi))
+    residue = iterated_residue(spec, order=order, hi=hi)
+    if scale != 1:
+        residue = residue * Fraction(1, scale)
+    return GenPoly.from_poly(residue)
 
 
 def integral_A(n: int, order=None, hi=None) -> GenPoly:

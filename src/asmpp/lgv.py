@@ -7,10 +7,16 @@ polynomial
 
     P(i, r) = e_{2i-r}(t_0, ..., t_i) = [u^{2i-r}] prod_k (1 + t_k u).
 
-Summing det[P(i, r_j)] over endpoint sequences 1 = r_1 < ... < r_{n-1} with
-odd gaps and r_i <= 2i + 1 counts the whole non-intersecting bundle with a
-weight per vertical step (extra steps included; the trivial first path
-contributes the empty product).
+The whole non-intersecting bundle (extra steps included; the trivial first
+path contributes the empty product) is counted by the sum of det[P(i, r_j)]
+over endpoint sequences 1 = r_1 < ... < r_{n-1} with odd gaps and
+r_j <= 2j + 1.  lgv_genfun expands every determinant along its columns and
+shares the prefixes (the minor-summation view of Stembridge 1990): a state
+is the set of rows used so far and the last endpoint, column j adds an
+unused row i and an endpoint r, and the sign is (-1)^(number of used rows
+above i).  Only ring products and sums are needed, no division.  The sum of
+one Bareiss determinant per endpoint sequence stays as lgv_genfun_det, the
+oracle the tests compare the DP with.
 """
 
 from __future__ import annotations
@@ -53,11 +59,37 @@ def endpoint_sequences(n: int):
 
 
 def lgv_genfun(n: int, weights):
-    """Weighted bundle count: sum over endpoint sequences of det[P(i, r_j)].
+    """Weighted bundle count: the sum over endpoint sequences of
+    det[P(i, r_j)], by the column-by-column Laplace DP.
 
     `weights` has length n (slab 0 = extra step); entries may be scalars or
     polynomials in a shared ring.
     """
+    if len(weights) != n:
+        raise ValueError("need one weight per slab (length n)")
+    zero = 0 * weights[0]
+    esym = [elementary_symmetric(weights[: i + 1]) for i in range(n)]
+    layer = {(0, 0): 1 + zero}  # (bitmask of used rows, last endpoint) -> sum
+    for j in range(1, n):
+        nxt = {}
+        for (used, last), value in layer.items():
+            for r in [1] if j == 1 else range(last + 1, 2 * j + 2, 2):
+                # P(i, r) needs 0 <= 2i - r <= i + 1
+                for i in range(max(1, (r + 1) // 2), min(n, r + 2)):
+                    if used >> i & 1:
+                        continue
+                    term = value * esym[i][2 * i - r]
+                    if bin(used >> (i + 1)).count("1") % 2:
+                        term = -term
+                    key = (used | 1 << i, r)
+                    nxt[key] = nxt[key] + term if key in nxt else term
+        layer = nxt
+    return sum(layer.values(), zero)
+
+
+def lgv_genfun_det(n: int, weights):
+    """The same sum as lgv_genfun, with one Bareiss determinant per endpoint
+    sequence; kept as the test oracle."""
     if len(weights) != n:
         raise ValueError("need one weight per slab (length n)")
     if n == 1:

@@ -274,7 +274,7 @@ SUITES = {
     "wheel": (suite_wheel, (2, 3), 4),
     "recursion": (suite_recursion, (2, 3), 4),
     "zeilid": (suite_zeilid, (1, 4), 4),
-    "a-independence": (suite_a_independence, (1, 4), 5),
+    "a-independence": (suite_a_independence, (1, 4), 6),
     "appendix-d": (suite_appendix_d, (1, 3), 4),
     "even-partitions": (suite_even_partitions, (1, 3), 3),
     "bijections": (suite_bijections, (1, 4), 5),

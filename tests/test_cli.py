@@ -71,7 +71,14 @@ def test_genfun_csv_format():
 
 
 def test_genfun_integral_limit():
-    code, _ = run_cli("genfun", "integral-A", "--n", "7")
+    code, _ = run_cli("genfun", "integral-A", "--n", "8")
+    assert code == 2
+
+
+def test_genfun_lgv_limit():
+    code, out = run_cli("genfun", "lgv", "--n", "9")
+    assert code == 0 and json.loads(out)["total"] == 911835460
+    code, _ = run_cli("genfun", "lgv", "--n", "10")
     assert code == 2
 
 

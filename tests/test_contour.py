@@ -260,6 +260,38 @@ def test_kernel_refuses_to_wrap_a_coefficient_field():
         contour._packed_mul({3: 1}, [(1, 1)], guard=4, contour_guard=0)
 
 
+def _a_vectors(n):
+    """a_1..a_{n-1} of several kinds; integral_I must not depend on them."""
+    m = n - 1
+    return {
+        "denominators": [Fraction(k + 2, 2 * k + 3) for k in range(m)],
+        "negative": [Fraction(-(2 * k + 1), k + 2) for k in range(m)],
+        "unreduced": [Fraction(4, 6)] * m,
+        "ints": [(-1) ** k * (k + 2) for k in range(m)],
+        "mixed": [a_profile_y1y() if k % 2 else Fraction(5, k + 7) for k in range(m)],
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integral_I_is_integer_for_every_a(n):
+    tilde = genfun_doubly_refined(n, "tilde")
+    for label, avec in _a_vectors(n).items():
+        got = integral_I(n, avec)
+        assert got == tilde, label
+        assert all(type(c) is int for c in got.coeffs.values()), label
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scaled_interpolating_integrand_has_integer_factors(against_reference, n):
+    # a rational a_l = p/d enters as d + d u + p u**2; the kernel and its
+    # reference see integer coefficients only
+    for avec in _a_vectors(n).values():
+        integral_I(n, avec)
+    for spec in against_reference:
+        for _, factor in spec.factors:
+            assert all(type(c) is int for c in factor.terms.values())
+
+
 def test_integral_routes_at_n6():
     tilde = genfun_doubly_refined(6, "tilde")
     assert integral_A(6) == tilde

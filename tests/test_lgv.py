@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import comb, factorial
+from random import Random
 
 import pytest
 
@@ -9,6 +11,7 @@ from asmpp.lgv import (
     elementary_symmetric,
     endpoint_sequences,
     lgv_genfun,
+    lgv_genfun_det,
     lgv_genfun_xy,
     path_weight,
 )
@@ -45,6 +48,62 @@ def test_matches_brute_force_polynomials():
     assert lgv_genfun_xy(3) == genfun_U(3, 0, 1)
 
 
+def _weight_vectors(n):
+    """The weight vectors the DP is checked on: (x, y, 1, ...) with int ones
+    and with Fraction ones, integers and rationals."""
+    xy = ("x", "y")
+    x = MultiPoly.variable(xy, "x")
+    y = MultiPoly.variable(xy, "y")
+    rng = Random(n)
+    return {
+        "(x, y)": ([x, y] + [MultiPoly.constant(xy, 1)] * (n - 2))[:n],
+        "(x, y) over Fraction": ([x, y] + [MultiPoly.constant(xy, Fraction(1))] * (n - 2))[:n],
+        "integer": [k % 3 + 1 for k in range(n)],
+        "fraction": [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)],
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dp_matches_determinant_oracle(n):
+    for label, weights in _weight_vectors(n).items():
+        assert lgv_genfun(n, weights) == lgv_genfun_det(n, weights), label
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_totals_above_the_brute_range(n):
+    assert lgv_genfun(n, [1] * n) == asm_count_formula(n)
+
+
+def zeilberger_refined(n, k):
+    """A_{n,k} = C(n+k-2, k-1) (2n-k-1)!/(n-k)! prod_{j=0}^{n-2} (3j+1)!/(n+j)!:
+    the ASMs of size n whose first row has its 1 in column k."""
+    num = comb(n + k - 2, k - 1) * factorial(2 * n - k - 1)
+    den = factorial(n - k)
+    for j in range(n - 1):
+        num *= factorial(3 * j + 1)
+        den *= factorial(n + j)
+    assert num % den == 0
+    return num // den
+
+
+def _x_marginal(poly, n):
+    """The coefficients of x**0 .. x**(n-1) at y = 1."""
+    marginal = [0] * n
+    for (i, _), c in poly.coeffs.items():
+        marginal[i] += c
+    return marginal
+
+
+def test_y1_marginal_is_zeilbergers_refined_count():
+    # the index convention x**(k-1) <-> A_{n,k}, fixed on the brute polynomial
+    for n in range(1, 7):
+        want = [zeilberger_refined(n, k) for k in range(1, n + 1)]
+        assert _x_marginal(genfun_doubly_refined(n, "tilde"), n) == want
+    for n in range(1, 10):
+        want = [zeilberger_refined(n, k) for k in range(1, n + 1)]
+        assert _x_marginal(lgv_genfun_xy(n), n) == want
+
+
 def test_full_weight_vector_against_direct_count():
     # weights on every slab: compare with the direct sum over bundles
     n = 4
@@ -71,6 +130,8 @@ def _slab_exponents(p, n):
 def test_weight_length_check():
     with pytest.raises(ValueError):
         lgv_genfun(3, [Fraction(1)] * 2)
+    with pytest.raises(ValueError):
+        lgv_genfun_det(3, [Fraction(1)] * 2)
 
 
 def test_genpoly_from_poly():

@@ -5,8 +5,11 @@ stderr.  The set covers every integral route and form at n = 1..5 in all
 three formats, the lgv route with integer and symbolic weights (and the
 usage error for weights that give a non-integer count), the brute asm and
 nilp routes at n = 1..5 in all three formats (nilp with two statistic
-pairs), and every verify suite at seed 11 in all three formats.  A change that keeps these digests
-keeps the reports byte-identical.
+pairs), and every verify suite at seed 11 in all three formats.  The
+benchmark's own sizes are pinned too: lgv at n = 7 and integral-I with the
+rational --a vectors of benchmark seeds 0 and 7 (at n = 5, and extended by
+one entry at n = 6), in all three formats.  A change that keeps these
+digests keeps the reports byte-identical.
 """
 
 import hashlib
@@ -17,6 +20,8 @@ from asmpp.cli import main
 from asmpp.verify import SUITES
 
 RATIONAL_A = ["-8/5", "1", "3/2", "3/7"]
+# the --a vectors that perfbench/workloads.py draws at seeds 0 and 7
+BENCH_A = [RATIONAL_A, ["-5/3", "-5/4", "4/5", "-7/3"]]
 
 
 def report_cases():
@@ -38,6 +43,15 @@ def report_cases():
             for fmt in ("json", "csv"):
                 cases.append(("genfun", "lgv", "--n", str(n)) + extra + ("--format", fmt))
     cases.append(("genfun", "lgv", "--n", "3", "--weights", "1/3,1/3,1"))
+    bench = [("lgv", "--n", "7"), ("lgv", "--n", "7", "--weights", "t,s,1,1,1,1,1"),
+             ("lgv", "--n", "7", "--weights", "1,2,3,1,2,3,1")]
+    # seed 0's vector at n = 5 is RATIONAL_A, pinned above
+    bench.append(("integral-I", "--n", "5", "--a=" + ",".join(BENCH_A[1])))
+    for avec in BENCH_A:
+        bench.append(("integral-I", "--n", "6", "--a=" + ",".join(avec + ["2/9"])))
+    for v in bench:
+        for fmt in ("json", "csv", "pretty"):
+            cases.append(("genfun",) + v + ("--format", fmt))
     for n in range(1, 6):
         variants = [("asm-tilde",), ("asm-reversed",),
                     ("nilp", "--i", "0", "--j", "1"), ("nilp", "--i", "1", "--j", str(n))]
@@ -515,4 +529,40 @@ DIGESTS = {
         "bb765968c95dc19c5a456bfc8164195d7e7252c362edd26acb3baa7d77a9448f",
     "verify six-vertex --seed 11 --format pretty":
         "f51897ea09e71029fcabb2cefb285955eb30c87d2a3bab15410398cf43dccd22",
+    "genfun lgv --n 7 --format json":
+        "6d6ad2799fe238d8e3a02576b7c2698a451d548bbb839e603d523e4fc9b0fbd6",
+    "genfun lgv --n 7 --format csv":
+        "a757359af3e7316cfcaf1380dc77cce77f72730c5a9356448363bc294b99d47a",
+    "genfun lgv --n 7 --format pretty":
+        "d63d6f564e9999bf4d7a5ab13b8abb9bc8f2566608ecd8f5bcf2d3e27eaa59eb",
+    "genfun lgv --n 7 --weights t,s,1,1,1,1,1 --format json":
+        "8237a14b9f8843114ceddca921cce94f2071e11746f1e04f8667f2061227ed5b",
+    "genfun lgv --n 7 --weights t,s,1,1,1,1,1 --format csv":
+        "4702b2a2a53d995069c3fcfb7207f3eb28471797cc66094c5cbebf28d1834b85",
+    "genfun lgv --n 7 --weights t,s,1,1,1,1,1 --format pretty":
+        "b9581d8e52b389abc84509a6a906df47ee937f6ef027d265bbefbcbacf3abb03",
+    "genfun lgv --n 7 --weights 1,2,3,1,2,3,1 --format json":
+        "8d212687488a0a812f497966b4f6f4832358780c16ae5d88adea4f36ead0fb95",
+    "genfun lgv --n 7 --weights 1,2,3,1,2,3,1 --format csv":
+        "7a495123c240d5db32c8512c855d31208ca514b11e59a762e8bb33a57344a4f4",
+    "genfun lgv --n 7 --weights 1,2,3,1,2,3,1 --format pretty":
+        "2630114d768dbd029e9630ad298f4f31dda67d1caf3660cbcc9d8f369741cee2",
+    "genfun integral-I --n 6 --a=-8/5,1,3/2,3/7,2/9 --format json":
+        "a484e0223ddfb9c95c8427999b692b011993529562075c6417c9273c7a86dcb1",
+    "genfun integral-I --n 6 --a=-8/5,1,3/2,3/7,2/9 --format csv":
+        "a168d9f32a5c713d262a92cf6b3b5c7e39f2b86f191296bd3a1fd8051713c8d7",
+    "genfun integral-I --n 6 --a=-8/5,1,3/2,3/7,2/9 --format pretty":
+        "33dfe94bd1dc1c2ae52ed8f24ca8e6e4bafa46801338292154650c4e1e40ea0a",
+    "genfun integral-I --n 5 --a=-5/3,-5/4,4/5,-7/3 --format json":
+        "36a4ebf7d1fc6f8c6dc9583ae49acd79dd41e8c17e067d48c45718b90792b2e5",
+    "genfun integral-I --n 5 --a=-5/3,-5/4,4/5,-7/3 --format csv":
+        "cde7c6fd20d1d3190dc848969b055fff8c5f4a84bda71e5e068fcf085c92dc9d",
+    "genfun integral-I --n 5 --a=-5/3,-5/4,4/5,-7/3 --format pretty":
+        "19d190ecdeab1af984aecd0c82de92620a577f637ed21a69ed4b992835f72478",
+    "genfun integral-I --n 6 --a=-5/3,-5/4,4/5,-7/3,2/9 --format json":
+        "a484e0223ddfb9c95c8427999b692b011993529562075c6417c9273c7a86dcb1",
+    "genfun integral-I --n 6 --a=-5/3,-5/4,4/5,-7/3,2/9 --format csv":
+        "a168d9f32a5c713d262a92cf6b3b5c7e39f2b86f191296bd3a1fd8051713c8d7",
+    "genfun integral-I --n 6 --a=-5/3,-5/4,4/5,-7/3,2/9 --format pretty":
+        "33dfe94bd1dc1c2ae52ed8f24ca8e6e4bafa46801338292154650c4e1e40ea0a",
 }
