@@ -28,7 +28,7 @@ from .verify import SUITES, run_verify
 
 ENUM_LIMITS = {"asm": 7, "nilp": 7, "tsscpp": 7}
 GENFUN_LIMITS = {
-    "asm-tilde": 7, "asm-reversed": 7, "nilp": 7, "lgv": 9,
+    "asm-tilde": 12, "asm-reversed": 12, "nilp": 11, "lgv": 9,
     "integral-A": 7, "integral-U": 7, "integral-I": 7,
 }
 

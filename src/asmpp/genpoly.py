@@ -36,6 +36,19 @@ class GenPoly:
             result.add_term(named.get("x", 0), named.get("y", 0), int(value))
         return result
 
+    @classmethod
+    def from_packed(cls, packed, n, width) -> "GenPoly":
+        """The GenPoly whose x**i * y**j coefficient (0 <= i, j < n) is the
+        width-bit field of the int `packed` at bit (i + j*n) * width."""
+        result = cls()
+        mask = (1 << width) - 1
+        for j in range(n):
+            for i in range(n):
+                count = (packed >> ((i + j * n) * width)) & mask
+                if count:
+                    result.add_term(i, j, count)
+        return result
+
     def add_term(self, i, j, count=1):
         if i < 0 or j < 0:
             raise ValueError("negative exponent")

@@ -11,6 +11,16 @@ determined, not chosen, so it is exempt from the collision rule.
 The k-statistics: u^0 counts vertical extra steps; for k >= 1, u^k counts
 vertical steps among the max(1, t-k+1)-th steps of the paths (a path with no
 regular steps contributes nothing).
+
+`genfun_U` counts bundles without listing them: a DP that lays the paths
+down one at a time.  Path t starts right of path t-1 and a step changes
+their gap by at most one, so the paths avoid each other exactly when path t
+stays strictly right of path t-1 at every height both reach.  The state is
+the last path's x-profile and its final x; path t's extra step, and so its
+share of u^0, follows from the parity of its end x minus that final x, and
+its share of u^k (k >= 1) from its own steps.  Each state packs its counts
+by (u^i, u^j) into one int (see `GenPoly.from_packed`).  The sum over
+`enumerate_nilps` it replaces is kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -175,14 +185,46 @@ def u_statistic(p: Nilp, k: int) -> int:
     return count
 
 
+def _profiles_right_of(prev):
+    """The x-profiles of every path t = len(prev) that stays strictly right
+    of the path t-1 whose x-profile is `prev`; a path's x-profile lists its
+    x at the heights -t..0 it reaches."""
+    t = len(prev)
+    profiles = [(t,)]
+    for bound in prev:
+        profiles = [p + (x,) for p in profiles for x in (p[-1] + 1, p[-1]) if x > bound]
+    return profiles
+
+
 def genfun_U(n: int, i: int, j: int) -> GenPoly:
     """Sum over bundles of x**u^i * y**u^j."""
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("statistic indices must be in [0, n]")
-    poly = GenPoly()
-    for p in enumerate_nilps(n):
-        poly.add_term(u_statistic(p, i), u_statistic(p, j))
-    return poly
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # a count packs into a width-bit field: path t has at most 2**t step
+    # strings, so there are at most 2**(n*(n-1)/2) bundles
+    width = n * (n - 1) // 2 + 1
+    layer = {(0,): {1: 1}}  # x-profile -> final x -> packed counts
+    for t in range(1, n):
+        # path t adds to u^k (k >= 1) when its max(1, t-k+1)-th step is
+        # vertical, and to u^0 when its extra step is
+        step_i, step_j = (max(1, t - k + 1) if k else 0 for k in (i, j))
+        nxt = {}
+        for prev, finals in layer.items():
+            for profile in _profiles_right_of(prev):
+                end = profile[-1]
+                u_i = step_i and profile[step_i] == profile[step_i - 1]
+                u_j = step_j and profile[step_j] == profile[step_j - 1]
+                into = nxt.setdefault(profile, {})
+                for prev_final, packed in finals.items():
+                    vert = (end - prev_final) % 2
+                    shift = ((u_i if step_i else vert) + (u_j if step_j else vert) * n) * width
+                    final = end + 1 - vert
+                    into[final] = into.get(final, 0) + (packed << shift)
+        layer = nxt
+    total = sum(packed for finals in layer.values() for packed in finals.values())
+    return GenPoly.from_packed(total, n, width)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,12 @@ def _rng(seed, suite, n):
 # -- suites ------------------------------------------------------------------
 
 def suite_doubly_refined(n, seed, samples):
-    brute = genfun_doubly_refined(n, "tilde")
+    asms = genfun_doubly_refined(n, "tilde")
     paths = genfun_U(n, 0, 1)
     lgv = lgv_genfun_xy(n)
     return [
-        check("asm-equals-paths", n, str(brute), str(paths)),
-        check("asm-equals-lgv", n, str(brute), str(lgv)),
+        check("asm-equals-paths", n, str(asms), str(paths)),
+        check("asm-equals-lgv", n, str(asms), str(lgv)),
     ]
 
 
@@ -269,7 +269,7 @@ def suite_sixv_schur(n, seed, samples):
 
 
 SUITES = {
-    "doubly-refined": (suite_doubly_refined, (1, 5), 6),
+    "doubly-refined": (suite_doubly_refined, (1, 5), 9),
     "dyck": (suite_dyck, (1, 4), 5),
     "wheel": (suite_wheel, (2, 3), 4),
     "recursion": (suite_recursion, (2, 3), 4),

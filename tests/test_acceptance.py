@@ -10,6 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
+from brute_oracles import brute_doubly_refined, brute_genfun_U
+
 from asmpp import antisym, contour
 from asmpp.algebra.cyclo import ZETA
 from asmpp.asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
@@ -50,12 +52,12 @@ class Budget:
 
 @lru_cache(maxsize=None)
 def brute_tilde(n):
-    return genfun_doubly_refined(n, "tilde")
+    return brute_doubly_refined(n, "tilde")
 
 
 @lru_cache(maxsize=None)
 def brute_paths(n):
-    return genfun_U(n, 0, 1)
+    return brute_genfun_U(n, 0, 1)
 
 
 SEVEN_TERMS = {(0, 2): 1, (0, 1): 1, (1, 2): 1, (1, 0): 1,

@@ -1,4 +1,5 @@
 import pytest
+from brute_oracles import brute_doubly_refined
 
 from asmpp.asm import (
     Asm,
@@ -65,6 +66,19 @@ def test_genfun_examples():
                          (1, 1): 1, (2, 1): 1, (2, 0): 1}
     assert genfun_doubly_refined(1).coeffs == {(0, 0): 1}
     assert genfun_doubly_refined(2, "tilde").coeffs == {(1, 0): 1, (0, 1): 1}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dp_matches_the_brute_sum(n):
+    for convention in ("tilde", "reversed"):
+        assert genfun_doubly_refined(n, convention) == brute_doubly_refined(n, convention)
+
+
+def test_genfun_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="unknown convention"):
+        genfun_doubly_refined(3, "mirrored")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        genfun_doubly_refined(0)
 
 
 def test_reflection_symmetries():

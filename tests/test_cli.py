@@ -99,8 +99,19 @@ def test_verify_vacuous_run_is_legal():
 
 
 def test_verify_unknown_suite_or_bad_range():
-    code, _ = run_cli("verify", "doubly-refined", "--n", "1..9")
+    code, _ = run_cli("verify", "doubly-refined", "--n", "1..10")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("genfun", "asm-tilde", "--n", "13"), 12),
+    (("genfun", "asm-reversed", "--n", "13"), 12),
+    (("genfun", "nilp", "--n", "12"), 11),
+    (("verify", "doubly-refined", "--n", "10"), 9),
+])
+def test_counting_route_caps(argv, cap, capsys):
+    assert main(list(argv)) == 2
+    assert f"n <= {cap}" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -282,6 +293,20 @@ def test_involution_failures_name_the_first_broken_bundle(monkeypatch, picks):
     assert failed["top-swap-involution"]["witness"] == targets[0].to_json_dict()
     assert failed["slice-swap-involution"]["witness"] == {
         "row": 1, **targets[0].to_json_dict()}
+
+
+def test_doubly_refined_compares_two_independent_counts(monkeypatch):
+    real = verify.genfun_U
+
+    def one_too_many(n, i, j):
+        poly = real(n, i, j)
+        poly.add_term(0, 0)
+        return poly
+    monkeypatch.setattr(verify, "genfun_U", one_too_many)
+    code, out = run_cli("verify", "doubly-refined", "--n", "3")
+    assert code == 1
+    checks = {c["check"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert checks == {"asm-equals-paths": False, "asm-equals-lgv": True}
 
 
 def test_mrr_witness_belongs_to_the_failing_check(monkeypatch):

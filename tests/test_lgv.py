@@ -3,6 +3,7 @@ from math import comb, factorial
 from random import Random
 
 import pytest
+from brute_oracles import brute_doubly_refined
 
 from asmpp.algebra.poly import MultiPoly
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
@@ -98,10 +99,19 @@ def test_y1_marginal_is_zeilbergers_refined_count():
     # the index convention x**(k-1) <-> A_{n,k}, fixed on the brute polynomial
     for n in range(1, 7):
         want = [zeilberger_refined(n, k) for k in range(1, n + 1)]
-        assert _x_marginal(genfun_doubly_refined(n, "tilde"), n) == want
-    for n in range(1, 10):
+        assert _x_marginal(brute_doubly_refined(n), n) == want
+    for n in range(1, 13):
         want = [zeilberger_refined(n, k) for k in range(1, n + 1)]
-        assert _x_marginal(lgv_genfun_xy(n), n) == want
+        assert _x_marginal(genfun_doubly_refined(n, "tilde"), n) == want
+        if n < 10:
+            assert _x_marginal(lgv_genfun_xy(n), n) == want
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_three_counting_routes_agree_above_the_brute_range(n):
+    asms = genfun_doubly_refined(n, "tilde")
+    assert asms == genfun_U(n, 0, 1) == lgv_genfun_xy(n)
+    assert asms.total() == asm_count_formula(n)
 
 
 def test_full_weight_vector_against_direct_count():

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from brute_oracles import brute_genfun_U
 
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
 from asmpp.nilp import (
@@ -78,6 +79,20 @@ def test_genfun_examples():
     assert genfun_U(3, 0, 2) == genfun_U(3, 0, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dp_matches_the_brute_sum_for_every_index_pair(n):
+    for i in range(n + 1):
+        for j in range(n + 1):
+            assert genfun_U(n, i, j) == brute_genfun_U(n, i, j), (i, j)
+
+
+def test_genfun_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="statistic indices"):
+        genfun_U(3, 0, 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        genfun_U(0, 0, 0)
+
+
 def test_main_theorem_small():
     for n in range(1, 6):
         assert genfun_U(n, 0, 1) == genfun_doubly_refined(n, "tilde")
@@ -138,7 +153,7 @@ def test_h_count_identity():
 
 
 def test_statistic_index_independence():
-    for n in range(1, 5):
+    for n in range(1, 8):
         base = genfun_U(n, 0, 1)
         for i in range(2, n + 1):
             assert genfun_U(n, 0, i) == base

@@ -3,13 +3,15 @@
 Each digest is the sha256 of one command line's exit code, stdout and
 stderr.  The set covers every integral route and form at n = 1..5 in all
 three formats, the lgv route with integer and symbolic weights (and the
-usage error for weights that give a non-integer count), the brute asm and
-nilp routes at n = 1..5 in all three formats (nilp with two statistic
-pairs), and every verify suite at seed 11 in all three formats.  The
-benchmark's own sizes are pinned too: lgv at n = 7 and integral-I with the
-rational --a vectors of benchmark seeds 0 and 7 (at n = 5, and extended by
-one entry at n = 6), in all three formats.  A change that keeps these
-digests keeps the reports byte-identical.
+usage error for weights that give a non-integer count), the asm and nilp
+routes at n = 1..7 in all three formats (nilp with two statistic pairs),
+and every verify suite at seed 11 in all three formats.  The benchmark's
+own sizes are pinned too: lgv at n = 7, integral-I with the rational --a
+vectors of benchmark seeds 0 and 7 (at n = 5, and extended by one entry at
+n = 6), in all three formats, and doubly-refined at n = 6 and 1..6 in json
+and pretty.  The asm, nilp and doubly-refined digests at n = 6 and 7 were
+recorded from the brute enumeration those routes ran before their DPs.  A
+change that keeps these digests keeps the reports byte-identical.
 """
 
 import hashlib
@@ -52,7 +54,7 @@ def report_cases():
     for v in bench:
         for fmt in ("json", "csv", "pretty"):
             cases.append(("genfun",) + v + ("--format", fmt))
-    for n in range(1, 6):
+    for n in range(1, 8):
         variants = [("asm-tilde",), ("asm-reversed",),
                     ("nilp", "--i", "0", "--j", "1"), ("nilp", "--i", "1", "--j", str(n))]
         for v in variants:
@@ -61,6 +63,9 @@ def report_cases():
     for suite in SUITES:
         for fmt in ("json", "csv", "pretty"):
             cases.append(("verify", suite, "--seed", "11", "--format", fmt))
+    for n_range in ("6", "1..6"):
+        for fmt in ("json", "pretty"):
+            cases.append(("verify", "doubly-refined", "--n", n_range, "--format", fmt))
     return cases
 
 
@@ -565,4 +570,60 @@ DIGESTS = {
         "a168d9f32a5c713d262a92cf6b3b5c7e39f2b86f191296bd3a1fd8051713c8d7",
     "genfun integral-I --n 6 --a=-5/3,-5/4,4/5,-7/3,2/9 --format pretty":
         "33dfe94bd1dc1c2ae52ed8f24ca8e6e4bafa46801338292154650c4e1e40ea0a",
+    "genfun asm-tilde --n 6 --format json":
+        "9dfd252d9736b472dc80b46ed8118e6b3a1730855ce64293ec8c80e5612be96d",
+    "genfun asm-tilde --n 6 --format csv":
+        "a168d9f32a5c713d262a92cf6b3b5c7e39f2b86f191296bd3a1fd8051713c8d7",
+    "genfun asm-tilde --n 6 --format pretty":
+        "64f25738530bb7cd997dad83365e37ce7a6a3567b6edb3f19792ad2ea15edc32",
+    "genfun asm-reversed --n 6 --format json":
+        "6dac8295cc93f556cbdfd511e976e5b4cecc5dc6ddb889ca71b408cfaf11d5ed",
+    "genfun asm-reversed --n 6 --format csv":
+        "8510144488eecd077d3b407a11bbc467f50d3a648225d74adc7e94b972c6344e",
+    "genfun asm-reversed --n 6 --format pretty":
+        "7b8878224a50c89da0b24e81e3230cae7e388861d84ffd552822d48d94d2e568",
+    "genfun nilp --n 6 --i 0 --j 1 --format json":
+        "73fe789a5a329c8e50f63b98938f85a0cc1923a726f9f3a1bae3f8bbb622a368",
+    "genfun nilp --n 6 --i 0 --j 1 --format csv":
+        "a168d9f32a5c713d262a92cf6b3b5c7e39f2b86f191296bd3a1fd8051713c8d7",
+    "genfun nilp --n 6 --i 0 --j 1 --format pretty":
+        "a5e0eaffd948ee248489e3d02b4782df0abe8e57084703982dad53db5430dd32",
+    "genfun nilp --n 6 --i 1 --j 6 --format json":
+        "d15fcb14450c8fcd77015b1661398f7145227ea628851d90a19f5abf3c9f8842",
+    "genfun nilp --n 6 --i 1 --j 6 --format csv":
+        "8510144488eecd077d3b407a11bbc467f50d3a648225d74adc7e94b972c6344e",
+    "genfun nilp --n 6 --i 1 --j 6 --format pretty":
+        "f5ca6e8b14f8d400bcea795193896c072a10ea8883de06f198817dbcce2e572f",
+    "genfun asm-tilde --n 7 --format json":
+        "ae2ad80629748a094575f0f8daf14b27226af2659df1762c40de952694256124",
+    "genfun asm-tilde --n 7 --format csv":
+        "ed186f982b3ed64d23d95ec0dc542c76104fc8fbf3b2b59be4d41aba24fd93cc",
+    "genfun asm-tilde --n 7 --format pretty":
+        "daf9803b9403a39a527246e665d24dcb3231cc5ea0be58b7bbbdc8a309c3a8b1",
+    "genfun asm-reversed --n 7 --format json":
+        "5f3d48b9ecfbf45f2b32e891d7266793158298bfb35647f8f6d2b00c9fc47a00",
+    "genfun asm-reversed --n 7 --format csv":
+        "44a29c5d446d2784d63ea1567a847ac8fb58d02dbd6f3c24a6791934176a8bd0",
+    "genfun asm-reversed --n 7 --format pretty":
+        "f0e0b2196807e1a6cf5ebda17dc53a957009edf78d3e77e3d2fc9c066abecda4",
+    "genfun nilp --n 7 --i 0 --j 1 --format json":
+        "9215068f9b851294f11438349af3c1b84cbdbdb2b468d2223fffcf913232812b",
+    "genfun nilp --n 7 --i 0 --j 1 --format csv":
+        "ed186f982b3ed64d23d95ec0dc542c76104fc8fbf3b2b59be4d41aba24fd93cc",
+    "genfun nilp --n 7 --i 0 --j 1 --format pretty":
+        "b9195dfd7819abe75a5d16fa8f3aa07bf90f959bee578da53c10c6452f9e4231",
+    "genfun nilp --n 7 --i 1 --j 7 --format json":
+        "4279251b8fd3fa0481c53537cfdcb2ff24ef583f32d562fba39126e8881a7a19",
+    "genfun nilp --n 7 --i 1 --j 7 --format csv":
+        "44a29c5d446d2784d63ea1567a847ac8fb58d02dbd6f3c24a6791934176a8bd0",
+    "genfun nilp --n 7 --i 1 --j 7 --format pretty":
+        "4f65b7d3e1ef252f83f2170220624a5f4ac645017da12e820015758c90fd5ed5",
+    "verify doubly-refined --n 6 --format json":
+        "392ed72219281d32c12084edadbf45daa44225f7346b2c75b2532d75da15558d",
+    "verify doubly-refined --n 6 --format pretty":
+        "93384da7e76976816d9e870a41ba1a1916b0e68ca4412e47d599fbb7ffd6bc10",
+    "verify doubly-refined --n 1..6 --format json":
+        "2f54d580b265e8a57e463622b06e0e6ec537341520fd244264870c776e16450b",
+    "verify doubly-refined --n 1..6 --format pretty":
+        "4477f340ee010a8bae035dcdc15246af984905b069b82489adfc99cc70806a14",
 }
