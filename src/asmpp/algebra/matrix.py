@@ -54,7 +54,7 @@ def determinant(m):
 
 
 def perm_sign(perm):
-    """The sign of a permutation of 0..n-1, by counting inversions."""
+    """The sign of a sequence of distinct values, by counting inversions."""
     sign = 1
     for a in range(len(perm)):
         for b in range(a + 1, len(perm)):

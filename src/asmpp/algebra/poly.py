@@ -3,8 +3,8 @@
 A MultiPoly has an explicit ordered variable tuple and a sparse map from
 exponent vectors (tuples of ints, one slot per variable) to coefficients.
 Exponents are nonnegative in a polynomial; the sum and product loops do not
-depend on that, and TruncatedSeries runs its Laurent arithmetic through
-them.  Coefficients may be int, Fraction or CycloScalar; zero coefficients
+depend on that, and the truncated series of `series.py` run their Laurent
+arithmetic through them.  Coefficients may be int, Fraction or CycloScalar; zero coefficients
 are never stored.  Instances are treated as immutable.
 """
 

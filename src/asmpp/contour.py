@@ -8,11 +8,13 @@ contours is semantic input taken from the integral being encoded, never
 inferred.
 
 Evaluation multiplies everything out as a truncated Laurent series and takes
-the coefficient of u**-1 one variable at a time.  Since every factor is a
-polynomial (or expands into one) with nonnegative exponents, exponents never
-decrease after the initial monomial; a term that overshoots exponent -1 in
-any contour variable can therefore never contribute, which keeps the
-intermediate series small no matter how generous the declared window is.
+the coefficient of u**-1 one variable at a time, the last contour variable
+first.  Since every factor is a polynomial (or expands into one) with
+nonnegative exponents, exponents never decrease after the initial monomial;
+a term past exponent -1 in any contour variable can therefore never
+contribute, so every contour exponent is capped at -1 from the start.  The
+even-partition check runs on the same kernel, with one contour variable
+that collects the homogeneous parts of bounded degree.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from itertools import permutations
 
 from .algebra.matrix import perm_sign
 from .algebra.poly import MultiPoly
-from .algebra.series import (
-    TruncatedSeries,
-    ContourSideError,
-    geometric_mul,
-    positive_valuation,
-)
+from .algebra.series import ContourSideError, positive_valuation
 from .checks import check
 from .genpoly import GenPoly
 
@@ -59,32 +56,16 @@ class IntegrandSpec:
         self.factors.append(("geom", g))
 
 
-def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
+def iterated_residue(spec: IntegrandSpec):
     """Evaluate the iterated formal residue; returns a MultiPoly in the
-    coefficient variables.
-
-    order: contour variables, innermost first (default: reversed u_vars).
-    hi: upper window bound per contour variable (default 2n, n = #vars);
-    results are independent of hi because exponents in contour variables
-    never decrease across the remaining factors.
-    """
+    coefficient variables.  The last of u_vars is integrated first."""
     u_vars = tuple(spec.u_vars)
-    if order is None:
-        order = tuple(reversed(u_vars))
-    else:
-        order = tuple(order)
-        if sorted(order) != sorted(u_vars):
-            raise ValueError("order must be a permutation of the contour variables")
-    if hi is None:
-        hi = 2 * len(u_vars)
-
     all_vars = spec.all_vars()
-    rank = {v: i for i, v in enumerate(order)}
 
     # Every factor must have nonnegative exponents.  A factor is multiplied
-    # in just before its earliest-integrated variable; one free of contour
-    # variables joins the tail, which multiplies the residue.
-    stages = [[] for _ in order]
+    # in just before its earliest-integrated variable (its last column); one
+    # free of contour variables joins the tail, which multiplies the residue.
+    stages = [[] for _ in u_vars]
     tail = []
     for kind, p in spec.factors:
         lifted = p.align(all_vars)
@@ -95,25 +76,17 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
             raise ContourSideError(
                 "geometric factor has a constant term in the contour variables"
             )
-        idxs = [rank[v] for v in u_vars if lifted.degree(v) > 0]
-        if idxs:
-            stages[min(idxs)].append((kind, lifted))
+        cols = [i for i, v in enumerate(u_vars) if lifted.degree(v) > 0]
+        if cols:
+            stages[max(cols)].append((kind, lifted))
         else:
             tail.append((kind, lifted))
 
-    # Exponents in contour variables never decrease (all factors checked
-    # nonnegative), so only terms at exponent <= -1 can still reach the
-    # residue: cap every contour window at min(hi, -1) from the start.
-    cap = min(hi, -1)
-    for v in order:
+    for v in u_vars:
         if spec.denom_powers.get(v, 0) < 1:
-            raise ValueError(f"window for {v} does not include exponent -1")
+            raise ValueError(f"the denominator power of {v} must be at least 1")
     starts = [-spec.denom_powers[v] for v in u_vars]
-    if any(s > cap for s in starts):
-        terms = {}  # the start term already lies past its window
-    else:
-        cols = [u_vars.index(v) for v in order]
-        terms = _packed_residue(len(all_vars), starts, cap, cols, stages)
+    terms = _packed_residue(len(all_vars), starts, stages)
 
     result = MultiPoly(spec.coeff_vars, terms)
     for kind, p in tail:
@@ -123,25 +96,25 @@ def iterated_residue(spec: IntegrandSpec, order=None, hi=None):
     return result
 
 
-def _packed_residue(nvars, starts, cap, cols, stages):
+def _packed_residue(nvars, starts, stages):
     """The residue loop of iterated_residue on packed exponent vectors.
 
     A term's exponent vector is one int with a (k+1)-bit field per variable
-    (contour variables first).  A contour field holds e - cap + 2**k - 1, so
-    an exponent past the cap sets the field's top (guard) bit; k is wide
-    enough for every exponent from the start up to the cap and for every
-    factor exponent, so adding a factor term never carries into the next
-    field.  A coefficient field holds the plain exponent, with k sized from
-    a degree bound: each geometric power raises the total contour degree by
-    at least 1, so at most sum(cap - start) of them fit in the windows.
+    (contour variables first).  A contour field holds e + 2**k, so an
+    exponent past -1 sets the field's top (guard) bit; k is wide enough for
+    every exponent from the start up to -1 and for every factor exponent, so
+    adding a factor term never carries into the next field.  A coefficient
+    field holds the plain exponent, with k sized from a degree bound: each
+    geometric power raises the total contour degree by at least 1, so at
+    most sum(-1 - start) of them fit below the cap.
 
-    starts: start exponent per contour variable; cols: the column of each
-    stage's variable; stages: per stage, ("poly" | "geom", factor lifted
-    to all variables).  Returns {coefficient exponents: coefficient}.
+    starts: start exponent per contour variable; stages: per contour
+    variable, ("poly" | "geom", factor lifted to all variables), integrated
+    last variable first.  Returns {coefficient exponents: coefficient}.
     """
     nu = len(starts)
-    budget = sum(cap - s for s in starts)
-    span = [cap - s for s in starts] + [0] * (nvars - nu)
+    budget = sum(-1 - s for s in starts)
+    span = [-1 - s for s in starts] + [0] * (nvars - nu)
     top = [0] * nvars
     for stage in stages:
         for kind, lifted in stage:
@@ -164,9 +137,9 @@ def _packed_residue(nvars, starts, cap, cols, stages):
         return [(sum(e << o for e, o in zip(exps, offs)), c)
                 for exps, c in lifted.terms.items()]
 
-    terms = {sum((s - cap + lim - 1) << o for s, lim, o in zip(starts, lims, offs)): 1}
-    for col, stage in zip(cols, stages):
-        for kind, lifted in stage:
+    terms = {sum((s + lim) << o for s, lim, o in zip(starts, lims, offs)): 1}
+    for col in reversed(range(nu)):
+        for kind, lifted in stages[col]:
             factor = pack(lifted)
             if kind == "poly":
                 terms = _packed_mul(terms, factor, guard, contour_guard)
@@ -178,7 +151,7 @@ def _packed_residue(nvars, starts, cap, cols, stages):
                     terms[key] = terms.get(key, 0) + c
             terms = {key: c for key, c in terms.items() if c}
         lim, o = lims[col], offs[col]
-        mask, code = (2 * lim - 1) << o, (lim - 2 - cap) << o  # the code of -1
+        mask, code = (2 * lim - 1) << o, (lim - 1) << o  # the code of -1
         terms = {key: c for key, c in terms.items() if key & mask == code}
     coeff = [(offs[i], lims[i] - 1) for i in range(nu, nvars)]
     return {tuple((key >> o) & m for o, m in coeff): c for key, c in terms.items()}
@@ -237,7 +210,7 @@ def _add_cauchy_cross(spec, variables, us):
             spec.add_geom(_mono(variables, {ui: 1, uj: 1}))
 
 
-def _interpolating(n, avec, first, order, hi) -> GenPoly:
+def _interpolating(n, avec, first) -> GenPoly:
     """The interpolating integral over the n-1 variables u_first, u_first+1,
     ...: the k-th gets the denominator u**(2k), numerators (1 + u + a_k u**2)
     and (1 + x u), the factor 1/(1 + u(1-y)) expanded about the origin, and
@@ -269,13 +242,13 @@ def _interpolating(n, avec, first, order, hi) -> GenPoly:
         # 1/(1 + u_l (1-y)) = 1/(1 - (y-1) u_l)
         spec.add_geom(_mono(variables, {ul: 1, "y": 1}) + _mono(variables, {ul: 1}, -1))
     _add_qkz_cross(spec, variables, u)
-    residue = iterated_residue(spec, order=order, hi=hi)
+    residue = iterated_residue(spec)
     if scale != 1:
         residue = residue * Fraction(1, scale)
     return GenPoly.from_poly(residue)
 
 
-def integral_A(n: int, order=None, hi=None) -> GenPoly:
+def integral_A(n: int) -> GenPoly:
     """The (n-1)-fold formal integral for the doubly refined ASM polynomial:
     the interpolating integral with every a_l = 0, over variables u_2..u_n
     with denominators u_l**(2l-2), numerators (1+u_l)(1+x u_l), the
@@ -283,10 +256,10 @@ def integral_A(n: int, order=None, hi=None) -> GenPoly:
     cross factors (u_m - u_l)(1+u_m+u_m u_l)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _interpolating(n, [0] * (n - 1), 2, order, hi)
+    return _interpolating(n, [0] * (n - 1), 2)
 
 
-def integral_U(n: int, form: str = "raw", order=None, hi=None) -> GenPoly:
+def integral_U(n: int, form: str = "raw") -> GenPoly:
     """The refined lattice-path polynomial as a formal integral.
 
     form="raw": the n-fold integral with denominators u_i**(2i-1), factors
@@ -317,10 +290,10 @@ def integral_U(n: int, form: str = "raw", order=None, hi=None) -> GenPoly:
             one_plus = _mono(variables, {}) + _mono(variables, {ui: 1})
             spec.add_poly(one_plus ** (i - 2))
     _add_cauchy_cross(spec, variables, u)
-    return GenPoly.from_poly(iterated_residue(spec, order=order, hi=hi))
+    return GenPoly.from_poly(iterated_residue(spec))
 
 
-def integral_I(n: int, avec, order=None, hi=None) -> GenPoly:
+def integral_I(n: int, avec) -> GenPoly:
     """The interpolating integral with numerators (1 + u_l + a_l u_l**2).
 
     avec supplies a_1..a_{n-1} as rationals or polynomials in (x, y); the
@@ -331,7 +304,7 @@ def integral_I(n: int, avec, order=None, hi=None) -> GenPoly:
         raise ValueError("n must be >= 1")
     if len(avec) != n - 1:
         raise ValueError("need n-1 interpolation entries")
-    return _interpolating(n, avec, 1, order, hi)
+    return _interpolating(n, avec, 1)
 
 
 def a_profile_y1y() -> MultiPoly:
@@ -373,7 +346,7 @@ def _antisym_lhs(u, variables, coeff_vars, phi, tau):
     return spec
 
 
-def zeilid_check(n: int, tau, phi: MultiPoly, order=None, hi=None):
+def zeilid_check(n: int, tau, phi: MultiPoly):
     """Both sides of the antisymmetrization identity for a symmetric phi,
     evaluated as formal integrals; returns a report entry."""
     u = [_uvar(i) for i in range(1, n + 1)]
@@ -393,8 +366,8 @@ def zeilid_check(n: int, tau, phi: MultiPoly, order=None, hi=None):
         rhs.add_geom(_mono(variables, {ui: 2}))
     _add_cauchy_cross(rhs, variables, u)
 
-    left = iterated_residue(lhs, order=order, hi=hi)
-    right = iterated_residue(rhs, order=order, hi=hi)
+    left = iterated_residue(lhs)
+    right = iterated_residue(rhs)
     return check("antisymmetrization-identity", n, right, left,
                  tau=str(tau), phi=str(phi))
 
@@ -430,23 +403,24 @@ def even_partition_sum_check(n: int, degree_bound: int):
     prod_{j>i}(u_j-u_i) / prod_{j>=i}(1-u_j u_i), coefficientwise up to
     total degree `degree_bound`."""
     D = degree_bound
-    u = [_uvar(i) for i in range(1, n + 1)]
-    window = [(0, D)] * n
-    lhs = TruncatedSeries(u, window)
-    for seq in _even_odd_sequences(n, D):
-        for perm in permutations(range(n)):
-            sign = perm_sign(perm)
-            exps = tuple(seq[perm[i]] for i in range(n))
-            lhs = lhs + TruncatedSeries(u, window, {exps: sign})
-    product = IntegrandSpec(tuple(u), {})
+    u = tuple(_uvar(i) for i in range(1, n + 1))
+    # distinct sequences and permutations give distinct exponent vectors
+    lt = {tuple(seq[p] for p in perm): perm_sign(perm)
+          for seq in _even_odd_sequences(n, D) if sum(seq) <= D
+          for perm in permutations(range(n))}
+    # With u_i -> t u_i, the residue in t of t**-(D+1)/(1-t) times the
+    # product form is the sum of its homogeneous parts of degree <= D.
+    product = IntegrandSpec(u, {})
     _add_cauchy_cross(product, u, u)
     for ui in u:
         product.add_geom(_mono(u, {ui: 2}))
-    rhs = TruncatedSeries.constant(u, window, 1)
+    variables = ("t",) + u
+    spec = IntegrandSpec(("t",), {"t": D + 1}, coeff_vars=u)
     for kind, p in product.factors:
-        rhs = rhs.mul_poly(p) if kind == "poly" else geometric_mul(rhs, p, u)
-    lt = {e: c for e, c in lhs.terms.items() if sum(e) <= D}
-    rt = {e: c for e, c in rhs.terms.items() if sum(e) <= D}
+        spec.factors.append(
+            (kind, MultiPoly(variables, {(sum(e),) + e: c for e, c in p.terms.items()})))
+    spec.add_geom(_mono(variables, {"t": 1}))
+    rt = iterated_residue(spec).terms
     return check("even-partition-sum", n, f"{len(rt)} terms", f"{len(lt)} terms",
                  passed=lt == rt, degree_bound=D)
 
@@ -492,7 +466,7 @@ def vandermonde_antisym_identity(n: int) -> bool:
     return lhs == rhs
 
 
-def homogeneous_limit_check(n: int, order=None, hi=None):
+def homogeneous_limit_check(n: int):
     """The two homogeneous-limit integrand forms must give equal iterated
     residues: n! times the ordered form equals the fully antisymmetrized
     form with every denominator power raised to 2n."""
@@ -518,6 +492,6 @@ def homogeneous_limit_check(n: int, order=None, hi=None):
     for ui in u:
         post.add_geom(_mono(variables, {ui: 2}))
 
-    left = iterated_residue(pre, order=order, hi=hi) * math.factorial(n)
-    right = iterated_residue(post, order=order, hi=hi)
+    left = iterated_residue(pre) * math.factorial(n)
+    right = iterated_residue(post)
     return check("homogeneous-limit", n, right, left)

@@ -37,14 +37,11 @@ class Nilp:
 
     __slots__ = ("n", "steps", "extra")
 
-    def __init__(self, steps, extra=None, validate=True):
+    def __init__(self, steps, validate=True):
         steps = tuple(str(s) for s in steps)
-        n = len(steps)
-        if extra is None:
-            extra = extra_steps(steps)
-        self.n = n
+        self.n = len(steps)
         self.steps = steps
-        self.extra = tuple(extra)
+        self.extra = tuple(extra_steps(steps))
         if validate:
             self.validate()
 
@@ -61,8 +58,6 @@ class Nilp:
                 if site in occupied:
                     raise ValueError(f"paths touch at {site}")
                 occupied.add(site)
-        if self.extra != extra_steps(self.steps):
-            raise ValueError("extra steps do not satisfy the parity rule")
 
     def sites(self, t):
         """Lattice sites visited by path t's regular steps (start included)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.cyclo import CycloScalar, Q3, Q3_INV
-from .algebra.matrix import determinant
+from .algebra.matrix import determinant, perm_sign
 from .checks import check
 
 
@@ -209,11 +209,7 @@ def zprime_residue_sum(n: int, z):
     for K in _index_sequences(n):
         kset = set(K)
         pos = {k: l for l, k in enumerate(K)}  # 0-based position of each k
-        # sign ordering the k_l
-        inv = sum(
-            1 for a in range(n) for b in range(a + 1, n) if K[a] > K[b]
-        )
-        term = CycloScalar(-1) if inv % 2 else CycloScalar(1)
+        term = CycloScalar(perm_sign(K))  # sign ordering the k_l
         for a in range(n):
             for b in range(a + 1, n):
                 term = term * (q * z[K[a] - 1] - qinv * z[K[b] - 1])

@@ -128,28 +128,6 @@ def _inv(x):
     return Fraction(1) / x
 
 
-def _cell_class_counts(a: Asm):
-    """Per-ASM cell data: list of (class, i, j) plus per-row/col c-counts."""
-    n = a.n
-    cells = []
-    rho = [0] * n
-    gamma = [0] * n
-    col = [0] * n
-    for i in range(n):
-        rowsum = 0
-        for j in range(n):
-            v = a.entries[i][j]
-            if v:
-                rho[i] += 1
-                gamma[j] += 1
-                cells.append(("c", i, j))
-            else:
-                cells.append(("a" if rowsum == col[j] else "b", i, j))
-            rowsum += v
-            col[j] += v
-    return cells, rho, gamma
-
-
 def weighted_partition_sum(n: int, s, r):
     """Brute-force weighted DWBC partition sum.
 
@@ -165,16 +143,16 @@ def weighted_partition_sum(n: int, s, r):
     z = [si * si for si in s]  # rows: z[0..n-1]; columns: z[n..2n-1]
     total = None
     for a in enumerate_asms(n):
-        cells, _rho, _gamma = _cell_class_counts(a)
         weight = 1
-        for cls, i, j in cells:
-            zr, wc = z[i], z[n + j]
-            if cls == "a":
-                weight = weight * (rinv * zr - r * wc)
-            elif cls == "b":
-                weight = weight * (rinv * wc - r * zr)
-            else:
-                weight = weight * (cfac * s[i] * s[n + j])
+        for i, row in enumerate(from_asm(a).types):
+            for j, t in enumerate(row):
+                zr, wc = z[i], z[n + j]
+                if t[0] == "a":
+                    weight = weight * (rinv * zr - r * wc)
+                elif t[0] == "b":
+                    weight = weight * (rinv * wc - r * zr)
+                else:
+                    weight = weight * (cfac * s[i] * s[n + j])
         total = weight if total is None else total + weight
     return total
 
@@ -210,14 +188,16 @@ def zn_normalized(n: int, z, r):
     cfac = qinv - q
     total = None
     for a in enumerate_asms(n):
-        cells, rho, gamma = _cell_class_counts(a)
-        nc = sum(rho)
-        weight = cfac ** (nc - n)
-        for cls, i, j in cells:
-            if cls == "a":
-                weight = weight * (rinv * z[i] - r * z[n + j])
-            elif cls == "b":
-                weight = weight * (rinv * z[n + j] - r * z[i])
+        types = from_asm(a).types
+        rho = [sum(t[0] == "c" for t in row) for row in types]
+        gamma = [sum(t[0] == "c" for t in column) for column in zip(*types)]
+        weight = cfac ** (sum(rho) - n)
+        for i, row in enumerate(types):
+            for j, t in enumerate(row):
+                if t[0] == "a":
+                    weight = weight * (rinv * z[i] - r * z[n + j])
+                elif t[0] == "b":
+                    weight = weight * (rinv * z[n + j] - r * z[i])
         for i in range(n):
             weight = weight * z[i] ** ((rho[i] - 1) // 2)
         for j in range(n):

@@ -108,6 +108,7 @@ def test_verify_unknown_suite_or_bad_range():
     (("genfun", "asm-reversed", "--n", "13"), 12),
     (("genfun", "nilp", "--n", "12"), 11),
     (("verify", "doubly-refined", "--n", "10"), 9),
+    (("verify", "even-partitions", "--n", "6"), 5),
 ])
 def test_counting_route_caps(argv, cap, capsys):
     assert main(list(argv)) == 2
