@@ -6,9 +6,18 @@ the cubic root of unity lives in Q(zeta), where zeta = exp(i*pi/3) satisfies
 
     zeta**2 = zeta - 1.
 
-Elements are stored as  c0 + c1*zeta  with rational c0, c1.  The cubic root
-of unity itself is q = zeta**2, its square roots are q**(1/2) = zeta and
-q**(-1/2) = 1 - zeta (check: zeta * (1 - zeta) = zeta - zeta**2 = 1).
+The cubic root of unity itself is q = zeta**2, its square roots are
+q**(1/2) = zeta and q**(-1/2) = 1 - zeta (check: zeta * (1 - zeta) =
+zeta - zeta**2 = 1).
+
+An element is stored as one triple of ints (n0, n1, d), meaning
+(n0 + n1*zeta) / d, in canonical form: d > 0 and gcd(n0, n1, d) = 1.  Every
+element has exactly one such triple, so equality is a comparison of triples,
+and an element of Z[zeta] (such as every entry of a Bareiss elimination over
+Z[zeta]) has d = 1 and is kept on two plain ints.  Sums, differences and
+products are int operations followed by one three-argument gcd, skipped when
+d = 1.  The rational coordinates c0 = n0/d and c1 = n1/d, the norm and the
+printed forms are `Fraction`s built only at that boundary.
 
 All operations are exact; there is no floating point anywhere.
 """
@@ -16,34 +25,63 @@ All operations are exact; there is no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _Rat = (int, Fraction)
 
 
-class CycloScalar:
-    """c0 + c1*zeta with zeta**2 = zeta - 1; immutable and hashable."""
+def _make(n0, n1, d):
+    """The element (n0 + n1*zeta)/d, for ints n0, n1 and d > 0."""
+    if d != 1:
+        g = gcd(n0, n1, d)
+        if g != 1:
+            n0, n1, d = n0 // g, n1 // g, d // g
+    z = _new(CycloScalar)
+    _set_t(z, (n0, n1, d))
+    return z
 
-    __slots__ = ("c0", "c1")
+
+class CycloScalar:
+    """(n0 + n1*zeta)/d with zeta**2 = zeta - 1; immutable and hashable."""
+
+    __slots__ = ("_t",)
 
     def __init__(self, c0=0, c1=0):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
+        if not (isinstance(c0, _Rat) and isinstance(c1, _Rat)):
+            raise TypeError("CycloScalar coefficients must be int or Fraction, "
+                            f"not {type(c0).__name__} and {type(c1).__name__}")
+        d0, d1 = c0.denominator, c1.denominator
+        d = lcm(d0, d1)  # both are in lowest terms, so the triple is canonical
+        _set_t(self, (c0.numerator * (d // d0), c1.numerator * (d // d1), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloScalar is immutable")
 
-    # -- coercion ---------------------------------------------------------
+    def __reduce__(self):
+        return CycloScalar, (self.c0, self.c1)
+
+    # -- coercion and the rational boundary --------------------------------
 
     @staticmethod
     def coerce(value) -> "CycloScalar":
         if isinstance(value, CycloScalar):
             return value
         if isinstance(value, _Rat):
-            return CycloScalar(value, 0)
+            return _make(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {type(value).__name__} to CycloScalar")
 
+    @property
+    def c0(self) -> Fraction:
+        n0, _, d = self._t
+        return Fraction(n0, d)
+
+    @property
+    def c1(self) -> Fraction:
+        _, n1, d = self._t
+        return Fraction(n1, d)
+
     def is_rational(self) -> bool:
-        return self.c1 == 0
+        return self._t[1] == 0
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -53,52 +91,73 @@ class CycloScalar:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = CycloScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return CycloScalar(self.c0 + other.c0, self.c1 + other.c1)
+        if type(other) is not CycloScalar:
+            try:
+                other = CycloScalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a0, a1, da = self._t
+        b0, b1, db = other._t
+        if da == db:
+            return _make(a0 + b0, a1 + b1, da)
+        return _make(a0 * db + b0 * da, a1 * db + b1 * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(-self.c0, -self.c1)
+        n0, n1, d = self._t
+        return _make(-n0, -n1, d)
 
     def __sub__(self, other):
-        try:
-            other = CycloScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return CycloScalar(self.c0 - other.c0, self.c1 - other.c1)
+        if type(other) is not CycloScalar:
+            try:
+                other = CycloScalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a0, a1, da = self._t
+        b0, b1, db = other._t
+        if da == db:
+            return _make(a0 - b0, a1 - b1, da)
+        return _make(a0 * db - b0 * da, a1 * db - b1 * da, da * db)
 
     def __rsub__(self, other):
         return CycloScalar.coerce(other) - self
 
     def __mul__(self, other):
-        try:
-            other = CycloScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a0, a1, b0, b1 = self.c0, self.c1, other.c0, other.c1
+        if type(other) is not CycloScalar:
+            try:
+                other = CycloScalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a0, a1, da = self._t
+        b0, b1, db = other._t
         # (a0 + a1 z)(b0 + b1 z) with z^2 = z - 1
-        return CycloScalar(a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
+        a1b1 = a1 * b1
+        return _make(a0 * b0 - a1b1, a0 * b1 + a1 * b0 + a1b1, da * db)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CycloScalar":
         """Image under zeta -> 1 - zeta (the nontrivial field automorphism)."""
-        return CycloScalar(self.c0 + self.c1, -self.c1)
+        n0, n1, d = self._t
+        return _make(n0 + n1, -n1, d)
+
+    def _norm_numerator(self) -> int:
+        # self * self.conjugate() is rational: (n0^2 + n0*n1 + n1^2) / d^2
+        n0, n1, _ = self._t
+        return n0 * n0 + n0 * n1 + n1 * n1
 
     def norm(self) -> Fraction:
-        # self * self.conjugate() is rational: c0^2 + c0*c1 + c1^2
-        return self.c0 * self.c0 + self.c0 * self.c1 + self.c1 * self.c1
+        d = self._t[2]
+        return Fraction(self._norm_numerator(), d * d)
 
     def inverse(self) -> "CycloScalar":
-        nrm = self.norm()
+        nrm = self._norm_numerator()
         if nrm == 0:
             raise ZeroDivisionError("division by zero CycloScalar")
-        conj = self.conjugate()
-        return CycloScalar(conj.c0 / nrm, conj.c1 / nrm)
+        n0, n1, d = self._t
+        # d * conjugate / (n0^2 + n0*n1 + n1^2); the form is positive definite
+        return _make(d * (n0 + n1), -d * n1, nrm)
 
     def __truediv__(self, other):
         try:
@@ -117,7 +176,7 @@ class CycloScalar:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        result = CycloScalar(1)
+        result = ONE
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -128,36 +187,43 @@ class CycloScalar:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, _Rat):
-            return self.c1 == 0 and self.c0 == other
         if isinstance(other, CycloScalar):
-            return self.c0 == other.c0 and self.c1 == other.c1
+            return self._t == other._t
+        if isinstance(other, _Rat):
+            return self._t == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.c1 == 0:
+        n0, n1, d = self._t
+        if d == 1:  # hash(Fraction(k)) == hash(k)
+            return hash(n0) if n1 == 0 else hash((n0, n1))
+        if n1 == 0:
             return hash(self.c0)
         return hash((self.c0, self.c1))
 
     def __bool__(self):
-        return self.c0 != 0 or self.c1 != 0
+        return self._t[0] != 0 or self._t[1] != 0
 
     def __repr__(self):
-        if self.c1 == 0:
+        if self.is_rational():
             return f"CycloScalar({self.c0})"
         return f"CycloScalar({self.c0}, {self.c1})"
 
     def __str__(self):
-        if self.c1 == 0:
-            return str(self.c0)
-        if self.c0 == 0:
-            return f"{self.c1}*zeta"
-        sign = "+" if self.c1 > 0 else "-"
-        return f"{self.c0} {sign} {abs(self.c1)}*zeta"
+        c0, c1 = self.c0, self.c1
+        if c1 == 0:
+            return str(c0)
+        if c0 == 0:
+            return f"{c1}*zeta"
+        sign = "+" if c1 > 0 else "-"
+        return f"{c0} {sign} {abs(c1)}*zeta"
 
 
-ZETA = CycloScalar(0, 1)
-ONE = CycloScalar(1, 0)
+_new = object.__new__
+_set_t = CycloScalar._t.__set__  # the slot's own setter, past the guard
+
+ZETA = _make(0, 1, 1)
+ONE = _make(1, 0, 1)
 
 # q = zeta^2 is a primitive cubic root of unity: q^2 + q + 1 = 0.
 Q3 = ZETA * ZETA

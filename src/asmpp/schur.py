@@ -200,7 +200,7 @@ def zprime_residue_sum(n: int, z):
     if len(z) != m:
         raise ValueError("need 2n points")
     z = [CycloScalar.coerce(v) for v in z]
-    if len({(v.c0, v.c1) for v in z}) != m:
+    if len(set(z)) != m:
         raise ValueError("points must be pairwise distinct")
     q = Q3
     qinv = Q3_INV

@@ -270,8 +270,8 @@ def suite_sixv_schur(n, seed, samples):
 
 SUITES = {
     "doubly-refined": (suite_doubly_refined, (1, 5), 9),
-    "dyck": (suite_dyck, (1, 4), 5),
-    "wheel": (suite_wheel, (2, 3), 4),
+    "dyck": (suite_dyck, (1, 4), 6),
+    "wheel": (suite_wheel, (2, 3), 5),
     "recursion": (suite_recursion, (2, 3), 4),
     "zeilid": (suite_zeilid, (1, 4), 4),
     "a-independence": (suite_a_independence, (1, 4), 6),
@@ -283,8 +283,8 @@ SUITES = {
     "bijections": (suite_bijections, (1, 4), 5),
     "involutions": (suite_involutions, (1, 4), 4),
     "mrr": (suite_mrr, (1, 4), 4),
-    "zprime": (suite_zprime, (1, 3), 3),
-    "six-vertex": (suite_sixv_schur, (1, 3), 3),
+    "zprime": (suite_zprime, (1, 3), 4),
+    "six-vertex": (suite_sixv_schur, (1, 3), 4),
 }
 
 

@@ -109,10 +109,24 @@ def test_verify_unknown_suite_or_bad_range():
     (("genfun", "nilp", "--n", "12"), 11),
     (("verify", "doubly-refined", "--n", "10"), 9),
     (("verify", "even-partitions", "--n", "6"), 5),
+    (("verify", "dyck", "--n", "7"), 6),
+    (("verify", "wheel", "--n", "6"), 5),
+    (("verify", "zprime", "--n", "5"), 4),
+    (("verify", "six-vertex", "--n", "5"), 4),
 ])
 def test_counting_route_caps(argv, cap, capsys):
     assert main(list(argv)) == 2
     assert f"n <= {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, cap, total", [
+    ("dyck", 6, 132), ("wheel", 5, 20), ("zprime", 4, 20), ("six-vertex", 4, 10),
+])
+def test_q3_suites_pass_at_their_cap(suite, cap, total):
+    code, out = run_cli("verify", suite, "--n", str(cap))
+    data = json.loads(out)
+    assert code == 0 and data["pass"] is True
+    assert data["n_range"] == [cap, cap] and data["total"] == total
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -136,6 +136,8 @@ def test_zprime_equals_schur():
 def test_zprime_rejects_coincident_points():
     with pytest.raises(ValueError):
         zprime_residue_sum(2, [1, 1, 2, 3])
+    with pytest.raises(ValueError):  # equal values given in different types
+        zprime_residue_sum(2, [Fraction(1, 2), Q3, CycloScalar(Fraction(1, 2)), 3])
 
 
 def test_difference_vanishes_near_ballot_points():
