@@ -11,7 +11,7 @@ from .asm import (
     refined_stat,
 )
 from .genpoly import GenPoly
-from .nilp import Nilp, enumerate_nilps, extra_step, genfun_U, u_statistic
+from .nilp import Nilp, enumerate_nilps, genfun_U, u_statistic
 from .schur import schur_staircase, dyck_specializations, zprime_residue_sum
 from .sixvertex import (
     VertexGrid,
@@ -29,7 +29,7 @@ __all__ = [
     "Asm", "RefinedStat", "asm_count_formula", "enumerate_asms",
     "genfun_doubly_refined", "refined_stat",
     "GenPoly",
-    "Nilp", "enumerate_nilps", "extra_step", "genfun_U", "u_statistic",
+    "Nilp", "enumerate_nilps", "genfun_U", "u_statistic",
     "schur_staircase", "dyck_specializations", "zprime_residue_sum",
     "VertexGrid", "asm_to_six_vertex", "normalize_Z", "refined_from_Z",
     "six_vertex_to_asm", "weighted_partition_sum",

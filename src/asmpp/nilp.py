@@ -12,14 +12,19 @@ The k-statistics: u^0 counts vertical extra steps; for k >= 1, u^k counts
 vertical steps among the max(1, t-k+1)-th steps of the paths (a path with no
 regular steps contributes nothing).
 
-`genfun_U` counts bundles without listing them: a DP that lays the paths
-down one at a time.  Path t starts right of path t-1 and a step changes
-their gap by at most one, so the paths avoid each other exactly when path t
-stays strictly right of path t-1 at every height both reach.  The state is
-the last path's x-profile and its final x; path t's extra step, and so its
-share of u^0, follows from the parity of its end x minus that final x, and
-its share of u^k (k >= 1) from its own steps.  Each state packs its counts
-by (u^i, u^j) into one int (see `GenPoly.from_packed`).  The sum over
+Both `enumerate_nilps` and `genfun_U` lay the paths down one at a time by
+one profile rule.  Path t starts right of path t-1 and a step changes their
+gap by at most one, so the paths avoid each other exactly when path t stays
+strictly right of path t-1 at every height both reach (`_profiles_right_of`,
+on x-profiles; a path's step string is read off its profile, D where x
+rises).  The site rule in `Nilp.validate` is kept apart from it as the
+independent check of the enumeration.
+
+`genfun_U` counts bundles without listing them: its DP state is the last
+path's x-profile and its final x; path t's extra step, and so its share of
+u^0, follows from the parity of its end x minus that final x, and its share
+of u^k (k >= 1) from its own steps.  Each state packs its counts by
+(u^i, u^j) into one int (see `GenPoly.from_packed`).  The sum over
 `enumerate_nilps` it replaces is kept in the tests as its oracle.
 """
 
@@ -70,13 +75,9 @@ class Nilp:
             sites.append((x, y))
         return sites
 
-    def end_x(self, t) -> int:
-        """x-coordinate where path t meets y = 0, before the extra step."""
-        return t + sum(1 for ch in self.steps[t] if ch == DIAG)
-
     def final_x(self, t) -> int:
-        """x-coordinate after the extra step."""
-        return self.end_x(t) + (1 if self.extra[t] == DIAG else 0)
+        """x-coordinate of path t after the extra step."""
+        return t + (self.steps[t] + self.extra[t]).count(DIAG)
 
     def __eq__(self, other):
         return isinstance(other, Nilp) and self.steps == other.steps
@@ -116,54 +117,32 @@ def extra_steps(steps):
     return tuple(extras)
 
 
-def extra_step(paths) -> Nilp:
-    """Attach the determined extra steps to regular paths."""
-    return Nilp(paths)
+def _profiles_right_of(prev):
+    """The x-profiles of every path t = len(prev) that stays strictly right
+    of the path t-1 whose x-profile is `prev`; a path's x-profile lists its
+    x at the heights -t..0 it reaches."""
+    t = len(prev)
+    profiles = [(t,)]
+    for bound in prev:
+        profiles = [p + (x,) for p in profiles for x in (p[-1] + 1, p[-1]) if x > bound]
+    return profiles
 
 
 def enumerate_nilps(n: int):
-    """Yield every size-n bundle exactly once, deterministically (paths are
-    extended in order, steps tried D before V)."""
+    """Yield every size-n bundle exactly once, deterministically: path t
+    runs over `_profiles_right_of` path t-1 (steps tried D before V)."""
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def build_path(t, occupied):
-        """All admissible step strings for path t given occupied sites."""
-        results = []
-
-        def rec(x, y, acc):
-            if y == 0:
-                results.append("".join(acc))
-                return
-            for ch in (DIAG, VERT):
-                nx = x + 1 if ch == DIAG else x
-                if (nx, y + 1) in occupied:
-                    continue
-                acc.append(ch)
-                rec(nx, y + 1, acc)
-                acc.pop()
-
-        if (t, -t) in occupied:
-            return results
-        rec(t, -t, [])
-        return results
-
-    def rec_paths(t, steps, occupied):
-        if t == n:
+    def rec(prev, steps):
+        if len(steps) == n:
             yield Nilp(steps, validate=False)
             return
-        for s in build_path(t, occupied):
-            sites = set()
-            x, y = t, -t
-            sites.add((x, y))
-            for ch in s:
-                if ch == DIAG:
-                    x += 1
-                y += 1
-                sites.add((x, y))
-            yield from rec_paths(t + 1, steps + [s], occupied | sites)
+        for profile in _profiles_right_of(prev):
+            path = "".join(DIAG if b > a else VERT for a, b in zip(profile, profile[1:]))
+            yield from rec(profile, steps + [path])
 
-    yield from rec_paths(0, [], set())
+    yield from rec((0,), [""])
 
 
 def u_statistic(p: Nilp, k: int) -> int:
@@ -178,17 +157,6 @@ def u_statistic(p: Nilp, k: int) -> int:
         if p.steps[t][step_index - 1] == VERT:
             count += 1
     return count
-
-
-def _profiles_right_of(prev):
-    """The x-profiles of every path t = len(prev) that stays strictly right
-    of the path t-1 whose x-profile is `prev`; a path's x-profile lists its
-    x at the heights -t..0 it reaches."""
-    t = len(prev)
-    profiles = [(t,)]
-    for bound in prev:
-        profiles = [p + (x,) for p in profiles for x in (p[-1] + 1, p[-1]) if x > bound]
-    return profiles
 
 
 def genfun_U(n: int, i: int, j: int) -> GenPoly:

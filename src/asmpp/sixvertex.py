@@ -128,49 +128,36 @@ def _inv(x):
     return Fraction(1) / x
 
 
+def _normalization(n: int, s, r):
+    """The factor (1/q - q)**n * prod(s), times the staircase sign, that
+    `normalize_Z` divides out of the raw partition sum."""
+    rinv = _inv(r)
+    factor = (rinv * rinv - r * r) ** n
+    for si in s:
+        factor = factor * si
+    return -factor if (n * (n - 1) // 2) % 2 else factor
+
+
 def weighted_partition_sum(n: int, s, r):
-    """Brute-force weighted DWBC partition sum.
+    """Weighted DWBC partition sum, with the class weights of the module
+    docstring.
 
     s: the 2n square roots of the spectral parameters (rows then columns),
     r: square root of the global parameter q.  All exact ring elements.
+    It is `zn_normalized` at z = s**2 times `_normalization`, which is
+    exact: every row and column has an odd number of c-vertices, so the
+    c-weights carry each s_i to an odd power.
     """
     if len(s) != 2 * n:
         raise ValueError("need 2n square-root spectral values")
-    rinv = _inv(r)
-    q = r * r
-    qinv = rinv * rinv
-    cfac = qinv - q
-    z = [si * si for si in s]  # rows: z[0..n-1]; columns: z[n..2n-1]
-    total = None
-    for a in enumerate_asms(n):
-        weight = 1
-        for i, row in enumerate(from_asm(a).types):
-            for j, t in enumerate(row):
-                zr, wc = z[i], z[n + j]
-                if t[0] == "a":
-                    weight = weight * (rinv * zr - r * wc)
-                elif t[0] == "b":
-                    weight = weight * (rinv * wc - r * zr)
-                else:
-                    weight = weight * (cfac * s[i] * s[n + j])
-        total = weight if total is None else total + weight
-    return total
+    return zn_normalized(n, [si * si for si in s], r) * _normalization(n, s, r)
 
 
 def normalize_Z(ztilde, n: int, s, r):
     """Divide the raw partition sum by its standard normalization so that
     the result is a polynomial of degree n-1 in each spectral parameter
     (and equals the staircase Schur function at q = zeta**2)."""
-    rinv = _inv(r)
-    q = r * r
-    cfac = rinv * rinv - q
-    denom = cfac ** n
-    for si in s:
-        denom = denom * si
-    result = ztilde * _inv(denom)
-    if (n * (n - 1) // 2) % 2:
-        result = -result
-    return result
+    return ztilde * _inv(_normalization(n, s, r))
 
 
 def zn_normalized(n: int, z, r):

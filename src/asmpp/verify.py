@@ -27,7 +27,7 @@ from .schur import (
     wheel_check,
     zprime_residue_sum,
 )
-from .sixvertex import normalize_Z, weighted_partition_sum, zn_normalized
+from .sixvertex import zn_normalized
 from .tsscpp import (
     mrr_u_statistic,
     mrr_u_statistic_upper_left,
@@ -75,16 +75,13 @@ def suite_recursion(n, seed, samples):
         q = r * r
         s[n] = s[0] / r  # z_{n+1} = z_1 / q
         z = [v * v for v in s]
-        lhs = normalize_Z(weighted_partition_sum(n, s, r), n, s, r)
-        ssub = s[1:n] + s[n + 1:]
+        lhs = zn_normalized(n, z, r)
         pref = Fraction(1) / q ** (n - 1)
         for j in range(1, n):
             pref *= z[0] - q * q * z[j]
         for j in range(n + 1, 2 * n):
             pref *= z[0] - z[j] / q
-        rhs = pref * normalize_Z(
-            weighted_partition_sum(n - 1, ssub, r), n - 1, ssub, r
-        )
+        rhs = pref * zn_normalized(n - 1, z[1:n] + z[n + 1:], r)
         checks.append(check("corner-recursion-generic-q", n, rhs, lhs,
                             point=[str(v) for v in z], q=str(q)))
     return checks

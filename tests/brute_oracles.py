@@ -1,20 +1,25 @@
-"""Brute-force oracles for the doubly refined polynomials.
+"""Brute-force oracles for the doubly refined polynomials and the six-vertex
+partition sum.
 
-Both are sums over listed objects: every ASM from `enumerate_asms`, every
+Each is a sum over listed objects: every ASM from `enumerate_asms`, every
 bundle from `enumerate_nilps`.  The library computes the same polynomials
 with transfer-matrix DPs (`asm.genfun_doubly_refined`, `nilp.genfun_U`);
 these sums are what those DPs are checked against wherever listing is
 affordable (n <= 6).  Each size is listed once per test session: the
 statistics of every object are tallied and cached, and each polynomial is
-read off the tally.
+read off the tally.  The six-vertex sum applies the vertex weights at the
+square roots s of the spectral parameters; the library's one weight loop
+(`sixvertex.zn_normalized`) works at z = s**2 instead.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 from asmpp.asm import enumerate_asms, refined_stat
 from asmpp.genpoly import GenPoly
 from asmpp.nilp import enumerate_nilps, u_statistic
+from asmpp.sixvertex import from_asm
 
 
 @lru_cache(maxsize=None)
@@ -46,3 +51,36 @@ def brute_genfun_U(n, i, j):
     for stats, count in brute_u_counts(n).items():
         poly.add_term(stats[i], stats[j], count)
     return poly
+
+
+def _inv(x):
+    return Fraction(1) / x
+
+
+def brute_weighted_partition_sum(n: int, s, r):
+    """Brute-force weighted DWBC partition sum.
+
+    s: the 2n square roots of the spectral parameters (rows then columns),
+    r: square root of the global parameter q.  All exact ring elements.
+    """
+    if len(s) != 2 * n:
+        raise ValueError("need 2n square-root spectral values")
+    rinv = _inv(r)
+    q = r * r
+    qinv = rinv * rinv
+    cfac = qinv - q
+    z = [si * si for si in s]  # rows: z[0..n-1]; columns: z[n..2n-1]
+    total = None
+    for a in enumerate_asms(n):
+        weight = 1
+        for i, row in enumerate(from_asm(a).types):
+            for j, t in enumerate(row):
+                zr, wc = z[i], z[n + j]
+                if t[0] == "a":
+                    weight = weight * (rinv * zr - r * wc)
+                elif t[0] == "b":
+                    weight = weight * (rinv * wc - r * zr)
+                else:
+                    weight = weight * (cfac * s[i] * s[n + j])
+        total = weight if total is None else total + weight
+    return total

@@ -58,9 +58,11 @@ def test_power_negative_exponent():
     assert ZETA ** 3 == -1
 
 
-small = st.fractions(
-    min_value=-10, max_value=10, max_denominator=7
-)
+# k/d with 1 <= d <= 7 and |k/d| <= 10, built from integer draws: the same
+# values as st.fractions(-10, 10, max_denominator=7) at a fraction of the
+# generation cost
+small = st.integers(1, 7).flatmap(
+    lambda d: st.integers(-10 * d, 10 * d).map(lambda k: Fraction(k, d)))
 scalars = st.builds(CycloScalar, small, small)
 
 

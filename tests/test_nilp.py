@@ -7,7 +7,6 @@ from asmpp.asm import asm_count_formula, genfun_doubly_refined
 from asmpp.nilp import (
     Nilp,
     enumerate_nilps,
-    extra_step,
     genfun_U,
     involution_g,
     involution_h,
@@ -16,8 +15,11 @@ from asmpp.nilp import (
 
 
 def test_counts():
+    # the enumeration walks x-profiles; each bundle is re-checked by the
+    # site rule in Nilp.validate, independently of that walk
     for n in range(1, 7):
-        assert sum(1 for _ in enumerate_nilps(n)) == asm_count_formula(n)
+        bundles = [Nilp(p.steps) for p in enumerate_nilps(n)]
+        assert len(set(bundles)) == len(bundles) == asm_count_formula(n)
 
 
 def test_count_size7():
@@ -40,9 +42,9 @@ def test_size2_statistics():
 
 
 def test_extra_step_rules():
-    p = extra_step(["", "V"])   # path 1 vertical, ends x=1
+    p = Nilp(["", "V"])   # path 1 vertical, ends x=1
     assert p.extra == ("D", "D") and p.final_x(1) == 2
-    p = extra_step(["", "D"])   # path 1 diagonal, ends x=2
+    p = Nilp(["", "D"])   # path 1 diagonal, ends x=2
     assert p.extra == ("D", "V") and p.final_x(1) == 2
     # consecutive finals always differ by an odd number
     for n in range(1, 6):

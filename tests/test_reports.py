@@ -10,8 +10,12 @@ own sizes are pinned too: lgv at n = 7, integral-I with the rational --a
 vectors of benchmark seeds 0 and 7 (at n = 5, and extended by one entry at
 n = 6), in all three formats, and doubly-refined at n = 6 and 1..6 in json
 and pretty.  The asm, nilp and doubly-refined digests at n = 6 and 7 were
-recorded from the brute enumeration those routes ran before their DPs.  A
-change that keeps these digests keeps the reports byte-identical.
+recorded from the brute enumeration those routes ran before their DPs.  The
+enumerate command is pinned for asm, nilp and tsscpp at n = 1..5 in all
+three formats and at the benchmark's sizes (asm and nilp at n = 6) in json;
+the nilp digests were recorded from the occupied-site search that listed
+bundles before the profile walk.  A change that keeps these digests keeps
+the reports byte-identical.
 """
 
 import hashlib
@@ -66,6 +70,12 @@ def report_cases():
     for n_range in ("6", "1..6"):
         for fmt in ("json", "pretty"):
             cases.append(("verify", "doubly-refined", "--n", n_range, "--format", fmt))
+    for n in range(1, 6):
+        for kind in ("asm", "nilp", "tsscpp"):
+            for fmt in ("json", "csv", "pretty"):
+                cases.append(("enumerate", kind, "--n", str(n), "--format", fmt))
+    for kind in ("asm", "nilp"):
+        cases.append(("enumerate", kind, "--n", "6", "--format", "json"))
     return cases
 
 
@@ -626,4 +636,98 @@ DIGESTS = {
         "2f54d580b265e8a57e463622b06e0e6ec537341520fd244264870c776e16450b",
     "verify doubly-refined --n 1..6 --format pretty":
         "4477f340ee010a8bae035dcdc15246af984905b069b82489adfc99cc70806a14",
+    "enumerate asm --n 1 --format json":
+        "5a6f815ada4dbafdd732970c99c202ff6d7178790c71318705c3f55ee882e2a8",
+    "enumerate asm --n 1 --format csv":
+        "c5fb2f4e4fc7d12f20155dcfe0b4c54582bcd23c7f8b079ebfa122fe3aba6a8b",
+    "enumerate asm --n 1 --format pretty":
+        "0d3bdc249839a10591eeee8392122796d24cd2fcb167fad07ec65cd9f2f90c31",
+    "enumerate nilp --n 1 --format json":
+        "1f992743b1c0ce238bf1383c1c80e9779e321810711fee1d8ed6c8d19d01a16a",
+    "enumerate nilp --n 1 --format csv":
+        "3c254fb37a197476a03ad58f64b570979f0586b19b07609e148874d9fd4d535f",
+    "enumerate nilp --n 1 --format pretty":
+        "bbb1b8c434fc877fd7dffd65e8c9bf41372f8c093c5fb9a9ecd9d20bd3a20635",
+    "enumerate tsscpp --n 1 --format json":
+        "b76f696c811a4cf11d5927829fc12b3843a609a07e8bcb569cddfff9e3a0debb",
+    "enumerate tsscpp --n 1 --format csv":
+        "fefe97896449315ef4fd67740fa6b065afef185c3e3280d3a0a5211435fb0e31",
+    "enumerate tsscpp --n 1 --format pretty":
+        "554d82b203ee0585b5dfbe177656a70ac923a8ff89b24973c603070c26437f18",
+    "enumerate asm --n 2 --format json":
+        "09dea24bf305c13b793208ac25d2f08d8d1c8edf3947c97f7ebad6719eb488e1",
+    "enumerate asm --n 2 --format csv":
+        "c11701c12c059db3f6ffb6b19321aa6639a0bd6e1f4ab892c4cd0ccb356ad60f",
+    "enumerate asm --n 2 --format pretty":
+        "bc603d855b325835203dee707ea614a3dcffa0fa20757045dc7f7c74bdbfe0f2",
+    "enumerate nilp --n 2 --format json":
+        "8aacfdc8ee1ffb1b83de3523ed1f9da76377579e0e3d70fd482b058ffa5d9787",
+    "enumerate nilp --n 2 --format csv":
+        "80d35b5db4fbd1d8d4b1fa3b87708549495f42896b8a50f955081299ea88cd45",
+    "enumerate nilp --n 2 --format pretty":
+        "9dc73e130d6161f87f9906f4344c68d0b89f034a469ba855895bf3fdccd3b5fb",
+    "enumerate tsscpp --n 2 --format json":
+        "ff14e2af7dc20c102b2b9d7e3864438c905169a65e2e521590a3a6b125501c76",
+    "enumerate tsscpp --n 2 --format csv":
+        "02ecec61461998c91a6ebaba48d02c6e44614f0b273e9b4ebf5eb22532355fc0",
+    "enumerate tsscpp --n 2 --format pretty":
+        "f7f24cb189ae164a517b15f93fd88e02776cf3208ad32785087e28cb5e62cc1c",
+    "enumerate asm --n 3 --format json":
+        "9ea24e66800697c2c88885e38f00c95a5e1a2c977ab629cc87be4b22568fd210",
+    "enumerate asm --n 3 --format csv":
+        "3bc31fb06f6f2725992dc31c39454b8abfbfd944ace1852df66ab795a61fb609",
+    "enumerate asm --n 3 --format pretty":
+        "9d473942008543edb350506da5bffbb75c07665b927a32384f465178e67a6554",
+    "enumerate nilp --n 3 --format json":
+        "e9ebfd67e01b47c9fec2a8103bab29989b23c0ed2b49d2523a12a3fc41c06138",
+    "enumerate nilp --n 3 --format csv":
+        "7d521971aa6fe59fb1456fe7a35d23ee5831a936b4e9bf35827766fee6ab444b",
+    "enumerate nilp --n 3 --format pretty":
+        "4e84ab62932b66239dd887e66cb8fff87e3b9b0d11414935036c6b28a17dea96",
+    "enumerate tsscpp --n 3 --format json":
+        "8ea422ce804f5ba7561245b10df0ede99266c13e5d144b10435ea6ec3f2d2569",
+    "enumerate tsscpp --n 3 --format csv":
+        "a351c59722cef62750d50c46f74273dc9b587bfb82461541caaf9680a0a1a2c8",
+    "enumerate tsscpp --n 3 --format pretty":
+        "b2e29986fe615d95f881df472d541a92492181efdc3234896336b621dac92631",
+    "enumerate asm --n 4 --format json":
+        "23bf05170c0b69c63a83090c509129f6e36d31d292cde4d679d70913566a6b36",
+    "enumerate asm --n 4 --format csv":
+        "eb03e20656852fa3a725efa62f83050637544e1e855538acab67b0a1545c5dd0",
+    "enumerate asm --n 4 --format pretty":
+        "6e0bf10004d04bbdc962185d8d1f5001ccc91de96a83b30d36d9cc4f842b39d1",
+    "enumerate nilp --n 4 --format json":
+        "7ed86ff44ec8a1956c24c64b7d4474722dde9bba6189fdeb17de3cc3e35d715e",
+    "enumerate nilp --n 4 --format csv":
+        "ca7d226e7661f7d048cb62d5b53fcb07d07e7c1fe8a27c0d0d76f37cfa5ae479",
+    "enumerate nilp --n 4 --format pretty":
+        "a70230f432ea7a21ac30f6740ff4347783cde2a279490c4d82c103bda7c463d1",
+    "enumerate tsscpp --n 4 --format json":
+        "095fcad94f99fb1209df75f8f1e4aa4a5ad8d57843f14d85f8fb92ac9ef07aa9",
+    "enumerate tsscpp --n 4 --format csv":
+        "4f40d4e2388e57e958db4d462e5c6a2704a532ba9a1ad53c27019ce67828cc2f",
+    "enumerate tsscpp --n 4 --format pretty":
+        "ead43506e79d72c930e2b8da15441b34ca146ffc142f08d49bb248e4343994b2",
+    "enumerate asm --n 5 --format json":
+        "1a9b8312cfb8eea0b7f3964ddbc59c3a489bf970b9925665b30d96ed8d9a6f12",
+    "enumerate asm --n 5 --format csv":
+        "bd9a31e9da489196d202d2885fa38259e18ab2ffed7fb9f8c7964407d55c8333",
+    "enumerate asm --n 5 --format pretty":
+        "45c45e789877d10bf8c4cf971644de6521b001877b0cdaed0f3287c7767a85c8",
+    "enumerate nilp --n 5 --format json":
+        "59b560923a3c6c48dd120978e35788130cd4d2aa7d089ab1741a8ee7b86c92e2",
+    "enumerate nilp --n 5 --format csv":
+        "c30ca3443652375b007a4309177a4a3df33dd5a5dc217faf067e2950f052cdfa",
+    "enumerate nilp --n 5 --format pretty":
+        "e6a39153e9143f09710c740aac5f5852a529b04d7220352fb0e161053cddd073",
+    "enumerate tsscpp --n 5 --format json":
+        "4d511be50a651a42d0daf2fd3c0e28205ae981c69b19e4e870d12c1c6bd35b8b",
+    "enumerate tsscpp --n 5 --format csv":
+        "0d49af1d5186604ef521d3f0c37a074c8409e9035be9f27f03c05b77694b29c9",
+    "enumerate tsscpp --n 5 --format pretty":
+        "eea83f1d9a4dc424841f19f667e3e89e5414e84e111afb183159629c4cd1b1c8",
+    "enumerate asm --n 6 --format json":
+        "3450d1911b97252607d704d2364076d90407207b9e21b37559768bff89eb1d71",
+    "enumerate nilp --n 6 --format json":
+        "ee25ca8cf00474dba74201d242e4642ab992f4a72db85ad8895aa121cea0dab7",
 }

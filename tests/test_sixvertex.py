@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from brute_oracles import brute_weighted_partition_sum
 
 from asmpp.algebra.cyclo import CycloScalar, ZETA
 from asmpp.asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
@@ -78,12 +79,14 @@ def test_normalized_values_at_cubic_root():
 
 def test_normalization_consistency():
     rng = Random(9)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         s = [rat(rng, True) for _ in range(2 * n)]
         r = rat(rng, True)
-        lhs = zn_normalized(n, [v * v for v in s], r)
-        rhs = normalize_Z(weighted_partition_sum(n, s, r), n, s, r)
-        assert lhs == rhs
+        if abs(r) == 1:
+            r *= 2  # q = 1 zeroes the normalization
+        brute = brute_weighted_partition_sum(n, s, r)
+        assert weighted_partition_sum(n, s, r) == brute
+        assert zn_normalized(n, [v * v for v in s], r) == normalize_Z(brute, n, s, r)
 
 
 def test_block_symmetry_generic_q():
