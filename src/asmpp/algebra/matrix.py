@@ -7,9 +7,6 @@ divisions (guaranteed exact by the Sylvester identity).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclo import CycloScalar
 from .poly import MultiPoly
 
 
@@ -21,9 +18,7 @@ def _exact_div(a, b):
         if r != 0:
             raise ValueError(f"inexact integer division {a}/{b} in Bareiss step")
         return q
-    if isinstance(a, CycloScalar) or isinstance(b, CycloScalar):
-        return CycloScalar.coerce(a) / CycloScalar.coerce(b)
-    return Fraction(a) / Fraction(b)
+    return a / b  # Fraction and CycloScalar promote each other
 
 
 def determinant(m):

@@ -214,6 +214,4 @@ def _coeff_div(a, b):
         if r == 0:
             return q
         return Fraction(a, b)
-    if isinstance(a, CycloScalar) or isinstance(b, CycloScalar):
-        return CycloScalar.coerce(a) / CycloScalar.coerce(b)
-    return Fraction(a) / Fraction(b)
+    return a / b  # Fraction and CycloScalar promote each other

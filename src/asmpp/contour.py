@@ -15,6 +15,17 @@ a term past exponent -1 in any contour variable can therefore never
 contribute, so every contour exponent is capped at -1 from the start.  The
 even-partition check runs on the same kernel, with one contour variable
 that collects the homogeneous parts of bounded degree.
+
+The builders share one factor vocabulary: `_poly` makes a factor over just
+the variables it names (the kernel aligns every factor to the spec), and
+`_one_plus`, `_add_qkz_cross`, `_add_cauchy` and `_vandermonde_pairs` give
+the numerators 1 + c*m, the qKZ cross factors, the Cauchy kernel and the
+Vandermonde pairs.  Factors of one stage multiply in the order they were
+added, which changes only the size of the intermediate series, so the order
+is measured: `integral_U` adds its Cauchy kernel before its numerators
+(about 40% fewer term products at n = 6), while the other builders add
+their numerators first (the kernel first costs 54% more term products in
+`homogeneous_limit_check(4)`).
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .algebra.matrix import perm_sign
 from .algebra.poly import MultiPoly
@@ -172,42 +183,46 @@ def _packed_mul(terms, factor, guard, contour_guard):
     return {key: c for key, c in out.items() if c}
 
 
-def _uvar(i):
-    return f"u{i}"
+def _poly(*terms) -> MultiPoly:
+    """The sum of c * prod v**e over terms (c, {v: e}), over just the
+    variables they name; iterated_residue aligns every factor itself."""
+    variables = tuple(dict.fromkeys(v for _, mono in terms for v in mono))
+    out = {}
+    for c, mono in terms:
+        exps = tuple(mono.get(v, 0) for v in variables)
+        out[exps] = out.get(exps, 0) + c
+    return MultiPoly(variables, out)
 
 
-def _mono(variables, assignment, coeff=1):
-    exps = [0] * len(variables)
-    for v, e in assignment.items():
-        exps[variables.index(v)] = e
-    return MultiPoly(variables, {tuple(exps): coeff})
+def _one_plus(mono, c=1) -> MultiPoly:
+    """1 + c * mono."""
+    return _poly((1, {}), (c, mono))
 
 
-def _difference(variables, ua, ub):
-    """u_b - u_a."""
-    return _mono(variables, {ub: 1}) + _mono(variables, {ua: 1}, -1)
-
-
-def _add_qkz_cross(spec, variables, us, tau=1):
+def _add_qkz_cross(spec, us, tau=1):
     """The qKZ cross factors (u_m - u_l)(1 + tau u_m + u_m u_l) for every
     pair with u_l before u_m in us."""
-    for a, ul in enumerate(us):
-        for um in us[a + 1:]:
-            spec.add_poly(_difference(variables, ul, um))
-            spec.add_poly(
-                _mono(variables, {})
-                + _mono(variables, {um: 1}, tau)
-                + _mono(variables, {um: 1, ul: 1})
-            )
+    for ul, um in combinations(us, 2):
+        spec.add_poly(_poly((1, {um: 1}), (-1, {ul: 1})))
+        spec.add_poly(_poly((1, {}), (tau, {um: 1}), (1, {um: 1, ul: 1})))
 
 
-def _add_cauchy_cross(spec, variables, us):
-    """The Cauchy cross factors (u_j - u_i)/(1 - u_i u_j) for every pair with
-    u_i before u_j in us."""
-    for a, ui in enumerate(us):
-        for uj in us[a + 1:]:
-            spec.add_poly(_difference(variables, ui, uj))
-            spec.add_geom(_mono(variables, {ui: 1, uj: 1}))
+def _add_cauchy(spec, us):
+    """The Cauchy kernel prod_{i<j} (u_j - u_i) / prod_{i<=j} (1 - u_i u_j),
+    u_i before u_j in us: the pairs first, then each 1/(1 - u_i**2)."""
+    for ui, uj in combinations(us, 2):
+        spec.add_poly(_poly((1, {uj: 1}), (-1, {ui: 1})))
+        spec.add_geom(_poly((1, {ui: 1, uj: 1})))
+    for ui in us:
+        spec.add_geom(_poly((1, {ui: 2})))
+
+
+def _vandermonde_pairs(us, tau_mono):
+    """The factors (u_i - u_j) and (u_i + u_j + tau u_i u_j) of every pair
+    with u_i before u_j in us; tau is the monomial tau_mono ({} for 1)."""
+    for ui, uj in combinations(us, 2):
+        yield _poly((1, {ui: 1}), (-1, {uj: 1}))
+        yield _poly((1, {ui: 1}), (1, {uj: 1}), (1, {ui: 1, uj: 1, **tau_mono}))
 
 
 def _interpolating(n, avec, first) -> GenPoly:
@@ -220,28 +235,21 @@ def _interpolating(n, avec, first) -> GenPoly:
     the residue runs on integers; it is divided once by the product of the
     denominators d.  A polynomial a_k enters as it is (d = 1).
     """
-    u = [_uvar(l) for l in range(first, first + n - 1)]
-    variables = tuple(u) + XY
-    spec = IntegrandSpec(
-        u_vars=tuple(u),
-        denom_powers={ul: 2 * k for k, ul in enumerate(u, 1)},
-        coeff_vars=XY,
-    )
+    u = [f"u{l}" for l in range(first, first + n - 1)]
+    spec = IntegrandSpec(tuple(u), {ul: 2 * k for k, ul in enumerate(u, 1)})
     scale = 1
     for ul, a_l in zip(u, avec):
         if isinstance(a_l, MultiPoly):
-            d = 1
-            quad = a_l.align(variables) * _mono(variables, {ul: 2})
+            d, quad = 1, [(c, {**dict(zip(a_l.vars, e)), ul: 2}) for e, c in a_l.terms.items()]
         else:
             a_l = Fraction(a_l)
-            d = a_l.denominator
-            quad = _mono(variables, {ul: 2}, a_l.numerator)
+            d, quad = a_l.denominator, [(a_l.numerator, {ul: 2})]
         scale *= d
-        spec.add_poly(_mono(variables, {}, d) + _mono(variables, {ul: 1}, d) + quad)
-        spec.add_poly(_mono(variables, {}) + _mono(variables, {ul: 1, "x": 1}))
+        spec.add_poly(_poly((d, {}), (d, {ul: 1}), *quad))
+        spec.add_poly(_one_plus({ul: 1, "x": 1}))
         # 1/(1 + u_l (1-y)) = 1/(1 - (y-1) u_l)
-        spec.add_geom(_mono(variables, {ul: 1, "y": 1}) + _mono(variables, {ul: 1}, -1))
-    _add_qkz_cross(spec, variables, u)
+        spec.add_geom(_poly((1, {ul: 1, "y": 1}), (-1, {ul: 1})))
+    _add_qkz_cross(spec, u)
     residue = iterated_residue(spec)
     if scale != 1:
         residue = residue * Fraction(1, scale)
@@ -274,22 +282,14 @@ def integral_U(n: int, form: str = "raw") -> GenPoly:
     if form not in ("raw", "after-u1"):
         raise ValueError(f"unknown form {form!r}")
     first = 1 if form == "raw" else 2
-    u = [_uvar(i) for i in range(first, n + 1)]
-    variables = tuple(u) + XY
-    spec = IntegrandSpec(
-        u_vars=tuple(u),
-        denom_powers={_uvar(i): 2 * i - first for i in range(first, n + 1)},
-        coeff_vars=XY,
-    )
-    for i in range(first, n + 1):
-        ui = _uvar(i)
-        spec.add_geom(_mono(variables, {ui: 2}))                                 # 1/(1-u_i^2)
-        spec.add_poly(_mono(variables, {}) + _mono(variables, {ui: 1, "x": 1}))  # 1 + x u_i
+    u = [f"u{i}" for i in range(first, n + 1)]
+    spec = IntegrandSpec(tuple(u), {ui: 2 * i - first for i, ui in enumerate(u, first)})
+    _add_cauchy(spec, u)  # before the numerators: see the module docstring
+    for i, ui in enumerate(u, first):
+        spec.add_poly(_one_plus({ui: 1, "x": 1}))
         if i >= 2:
-            spec.add_poly(_mono(variables, {}) + _mono(variables, {ui: 1, "y": 1}))
-            one_plus = _mono(variables, {}) + _mono(variables, {ui: 1})
-            spec.add_poly(one_plus ** (i - 2))
-    _add_cauchy_cross(spec, variables, u)
+            spec.add_poly(_one_plus({ui: 1, "y": 1}))
+            spec.add_poly(_one_plus({ui: 1}) ** (i - 2))
     return GenPoly.from_poly(iterated_residue(spec))
 
 
@@ -318,53 +318,39 @@ def a_profile_y1y() -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def is_symmetric(phi: MultiPoly, u_vars) -> bool:
-    """Full symmetry under permuting u_vars (checked on all transpositions)."""
-    for a in range(len(u_vars) - 1):
-        swapped = _swap_vars(phi, u_vars[a], u_vars[a + 1])
-        if swapped != phi:
+    """Full symmetry under permuting u_vars, checked on adjacent swaps: phi
+    with two names swapped in its variable tuple, aligned back, is phi."""
+    for v1, v2 in zip(u_vars, u_vars[1:]):
+        swap = {v1: v2, v2: v1}
+        relabelled = MultiPoly([swap.get(v, v) for v in phi.vars], phi.terms)
+        if relabelled.align(phi.vars) != phi:
             return False
     return True
 
 
-def _swap_vars(p: MultiPoly, v1, v2) -> MultiPoly:
-    i1, i2 = p.vars.index(v1), p.vars.index(v2)
-    terms = {}
-    for exps, coeff in p.terms.items():
-        e = list(exps)
-        e[i1], e[i2] = e[i2], e[i1]
-        terms[tuple(e)] = coeff
-    return MultiPoly(p.vars, terms)
-
-
-def _antisym_lhs(u, variables, coeff_vars, phi, tau):
+def _antisym_lhs(u, coeff_vars, phi, tau):
     """The ordered side of the antisymmetrization identity: phi times the
     qKZ cross factors, with denominators u_i**(2i)."""
     spec = IntegrandSpec(tuple(u), {ui: 2 * i for i, ui in enumerate(u, 1)},
                          coeff_vars=coeff_vars)
-    spec.add_poly(phi.align(variables))
-    _add_qkz_cross(spec, variables, u, tau)
+    spec.add_poly(phi)
+    _add_qkz_cross(spec, u, tau)
     return spec
 
 
 def zeilid_check(n: int, tau, phi: MultiPoly):
     """Both sides of the antisymmetrization identity for a symmetric phi,
     evaluated as formal integrals; returns a report entry."""
-    u = [_uvar(i) for i in range(1, n + 1)]
+    u = [f"u{i}" for i in range(1, n + 1)]
     coeff_vars = tuple(v for v in phi.vars if v not in u)
-    variables = tuple(u) + coeff_vars
-    if not is_symmetric(phi.align(variables), u):
+    if not is_symmetric(phi.align(tuple(u) + coeff_vars), u):
         raise ValueError("phi must be symmetric in the contour variables")
 
-    lhs = _antisym_lhs(u, variables, coeff_vars, phi, tau)
-    rhs = IntegrandSpec(tuple(u), {_uvar(i): 2 * i for i in range(1, n + 1)},
-                        coeff_vars=coeff_vars)
-    rhs.add_poly(phi.align(variables))
-    for i in range(1, n + 1):
-        ui = _uvar(i)
-        one_tau = _mono(variables, {}) + _mono(variables, {ui: 1}, tau)
-        rhs.add_poly(one_tau ** (i - 1))
-        rhs.add_geom(_mono(variables, {ui: 2}))
-    _add_cauchy_cross(rhs, variables, u)
+    lhs = _antisym_lhs(u, coeff_vars, phi, tau)
+    rhs = IntegrandSpec(lhs.u_vars, lhs.denom_powers, [("poly", phi)], coeff_vars)
+    for i, ui in enumerate(u, 1):
+        rhs.add_poly(_one_plus({ui: 1}, tau) ** (i - 1))
+    _add_cauchy(rhs, u)
 
     left = iterated_residue(lhs)
     right = iterated_residue(rhs)
@@ -374,27 +360,19 @@ def zeilid_check(n: int, tau, phi: MultiPoly):
 
 def phi_bilinear(n: int) -> MultiPoly:
     """prod_i (1+x u_i)(1+y u_i): the instance used by the route equality."""
-    u = [_uvar(i) for i in range(1, n + 1)]
+    u = [f"u{i}" for i in range(1, n + 1)]
     variables = tuple(u) + XY
-    phi = _mono(variables, {})
-    for i in range(1, n + 1):
-        ui = _uvar(i)
-        phi = phi * (_mono(variables, {}) + _mono(variables, {ui: 1, "x": 1}))
-        phi = phi * (_mono(variables, {}) + _mono(variables, {ui: 1, "y": 1}))
-    return phi
+    return math.prod((_one_plus({ui: 1, w: 1}).align(variables) for ui in u for w in XY),
+                     start=MultiPoly.constant(variables, 1))
 
 
 def monomial_symmetric(n: int, shape) -> MultiPoly:
     """The monomial symmetric polynomial m_shape(u_1..u_n)."""
-    u = [_uvar(i) for i in range(1, n + 1)]
-    variables = tuple(u)
+    variables = tuple(f"u{i}" for i in range(1, n + 1))
     shape = tuple(shape) + (0,) * (n - len(shape))
     if len(shape) > n:
         raise ValueError("shape longer than variable count")
-    terms = {}
-    for perm in set(permutations(shape)):
-        terms[perm] = 1
-    return MultiPoly(variables, terms)
+    return MultiPoly(variables, {perm: 1 for perm in set(permutations(shape))})
 
 
 def even_partition_sum_check(n: int, degree_bound: int):
@@ -403,7 +381,7 @@ def even_partition_sum_check(n: int, degree_bound: int):
     prod_{j>i}(u_j-u_i) / prod_{j>=i}(1-u_j u_i), coefficientwise up to
     total degree `degree_bound`."""
     D = degree_bound
-    u = tuple(_uvar(i) for i in range(1, n + 1))
+    u = tuple(f"u{i}" for i in range(1, n + 1))
     # distinct sequences and permutations give distinct exponent vectors
     lt = {tuple(seq[p] for p in perm): perm_sign(perm)
           for seq in _even_odd_sequences(n, D) if sum(seq) <= D
@@ -411,15 +389,12 @@ def even_partition_sum_check(n: int, degree_bound: int):
     # With u_i -> t u_i, the residue in t of t**-(D+1)/(1-t) times the
     # product form is the sum of its homogeneous parts of degree <= D.
     product = IntegrandSpec(u, {})
-    _add_cauchy_cross(product, u, u)
-    for ui in u:
-        product.add_geom(_mono(u, {ui: 2}))
-    variables = ("t",) + u
+    _add_cauchy(product, u)
     spec = IntegrandSpec(("t",), {"t": D + 1}, coeff_vars=u)
     for kind, p in product.factors:
         spec.factors.append(
-            (kind, MultiPoly(variables, {(sum(e),) + e: c for e, c in p.terms.items()})))
-    spec.add_geom(_mono(variables, {"t": 1}))
+            (kind, MultiPoly(("t",) + p.vars, {(sum(e),) + e: c for e, c in p.terms.items()})))
+    spec.add_geom(_poly((1, {"t": 1})))
     rt = iterated_residue(spec).terms
     return check("even-partition-sum", n, f"{len(rt)} terms", f"{len(lt)} terms",
                  passed=lt == rt, degree_bound=D)
@@ -442,27 +417,18 @@ def _even_odd_sequences(n: int, bound: int):
 def vandermonde_antisym_identity(n: int) -> bool:
     """AS{ prod_i (1+tau u_i)^(i-1) u_i^(2n-2i) } equals
     prod_{i<j} (u_i-u_j)(u_i+u_j+tau u_i u_j), with tau symbolic."""
-    u = [_uvar(i) for i in range(1, n + 1)]
+    u = [f"u{i}" for i in range(1, n + 1)]
     variables = tuple(u) + ("tau",)
     lhs = MultiPoly(variables)
     for perm in permutations(range(n)):
-        sign = perm_sign(perm)
-        term = _mono(variables, {}, sign)
-        for i in range(1, n + 1):
-            ui = _uvar(perm[i - 1] + 1)
-            one_tau = _mono(variables, {}) + _mono(variables, {ui: 1, "tau": 1})
-            term = term * one_tau ** (i - 1) * _mono(variables, {ui: 2 * n - 2 * i})
+        us = [u[p] for p in perm]
+        term = _poly((perm_sign(perm), {ui: 2 * n - 2 * i for i, ui in enumerate(us, 1)}))
+        term = term.align(variables)
+        for i, ui in enumerate(us, 1):
+            term = term * _one_plus({ui: 1, "tau": 1}).align(variables) ** (i - 1)
         lhs = lhs + term
-    rhs = _mono(variables, {})
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ui, uj = _uvar(i), _uvar(j)
-            rhs = rhs * (_mono(variables, {ui: 1}) + _mono(variables, {uj: 1}, -1))
-            rhs = rhs * (
-                _mono(variables, {ui: 1})
-                + _mono(variables, {uj: 1})
-                + _mono(variables, {ui: 1, uj: 1, "tau": 1})
-            )
+    rhs = math.prod((f.align(variables) for f in _vandermonde_pairs(u, {"tau": 1})),
+                    start=MultiPoly.constant(variables, 1))
     return lhs == rhs
 
 
@@ -470,27 +436,14 @@ def homogeneous_limit_check(n: int):
     """The two homogeneous-limit integrand forms must give equal iterated
     residues: n! times the ordered form equals the fully antisymmetrized
     form with every denominator power raised to 2n."""
-    tau = 1
-    u = [_uvar(i) for i in range(1, n + 1)]
-    variables = tuple(u) + XY
+    u = [f"u{i}" for i in range(1, n + 1)]
     phi = phi_bilinear(n)
+    pre = _antisym_lhs(u, XY, phi, 1)
 
-    pre = _antisym_lhs(u, variables, XY, phi, tau)
-
-    post = IntegrandSpec(tuple(u), {_uvar(i): 2 * n for i in range(1, n + 1)})
+    post = IntegrandSpec(tuple(u), {ui: 2 * n for ui in u})
     post.add_poly(phi)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ui, uj = _uvar(i), _uvar(j)
-            post.add_poly(_difference(variables, uj, ui))
-            post.add_poly(
-                _mono(variables, {ui: 1})
-                + _mono(variables, {uj: 1})
-                + _mono(variables, {ui: 1, uj: 1}, tau)
-            )
-    _add_cauchy_cross(post, variables, u)
-    for ui in u:
-        post.add_geom(_mono(variables, {ui: 2}))
+    post.factors += [("poly", f) for f in _vandermonde_pairs(u, {})]  # tau = 1
+    _add_cauchy(post, u)
 
     left = iterated_residue(pre) * math.factorial(n)
     right = iterated_residue(post)

@@ -79,11 +79,8 @@ def schur_staircase_bialternant(n: int, points):
     shape = list(staircase_shape(n)) + [0, 0]
     num = [[points[i] ** (shape[j] + m - 1 - j) for j in range(m)] for i in range(m)]
     den = [[points[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
-    dnum = determinant(num)
-    dden = determinant(den)
-    if isinstance(dnum, CycloScalar) or isinstance(dden, CycloScalar):
-        return CycloScalar.coerce(dnum) / CycloScalar.coerce(dden)
-    return Fraction(dnum) / Fraction(dden)
+    # `one` keeps n = 0 exact: an empty determinant is the int 1
+    return one * determinant(num) / determinant(den)
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,8 @@ def zprime_residue_sum(n: int, z):
     z = [CycloScalar.coerce(v) for v in z]
     if len(set(z)) != m:
         raise ValueError("points must be pairwise distinct")
-    q = Q3
-    qinv = Q3_INV
+    # every factor q z_i - q^-1 z_j below, indexed [i][j] from 0
+    pair = [[Q3 * zi - Q3_INV * zj for zj in z] for zi in z]
 
     total = CycloScalar(0)
     for K in _index_sequences(n):
@@ -212,17 +209,17 @@ def zprime_residue_sum(n: int, z):
         term = CycloScalar(perm_sign(K))  # sign ordering the k_l
         for a in range(n):
             for b in range(a + 1, n):
-                term = term * (q * z[K[a] - 1] - qinv * z[K[b] - 1])
+                term = term * pair[K[a] - 1][K[b] - 1]
         # surviving prefactor pairs (i < j), 1-based indices
         for i in range(1, m + 1):
             li = pos.get(i)
             for j in range(i + 1, m + 1):
                 if i not in kset or (li is not None and j < 2 * (li + 1) - 1):
-                    term = term * (q * z[i - 1] - qinv * z[j - 1])
+                    term = term * pair[i - 1][j - 1]
         # the (q z_{2l-1} - q^{-1} w_l) numerators that survive
         for l in range(1, n + 1):
             if 2 * l - 1 != K[l - 1]:
-                term = term * (q * z[2 * l - 2] - qinv * z[K[l - 1] - 1])
+                term = term * pair[2 * l - 2][K[l - 1] - 1]
         # denominators
         denom = CycloScalar(1)
         for l in range(1, n + 1):

@@ -99,6 +99,21 @@ def test_zeilid_rejects_asymmetric_phi():
     assert not is_symmetric(phi, ("u1", "u2"))
     with pytest.raises(ValueError):
         zeilid_check(2, 1, phi)
+    # u1 + u2 + 2 u3: symmetric under u1 <-> u2 only
+    phi = MultiPoly(("u1", "u2", "u3"), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 2})
+    assert is_symmetric(phi, ("u1", "u2"))
+    assert not is_symmetric(phi, ("u1", "u2", "u3"))
+    with pytest.raises(ValueError):
+        zeilid_check(3, 1, phi)
+    # a symmetric phi over a reordered tuple: x u2 + x u1 + u2 u1**2 + u2**2 u1
+    phi = MultiPoly(("x", "u2", "u1"),
+                    {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 2): 1, (0, 2, 1): 1})
+    assert is_symmetric(phi, ("u1", "u2"))
+    assert not is_symmetric(MultiPoly(("x", "u2", "u1"), {(0, 1, 2): 1}), ("u1", "u2"))
+    rep = zeilid_check(2, 1, phi)
+    assert rep["pass"], rep
+    same = zeilid_check(2, 1, phi.align(("u1", "u2", "x")))
+    assert (rep["got"], rep["expected"]) == (same["got"], same["expected"])
 
 
 def test_even_partition_sums():
@@ -124,7 +139,7 @@ def test_even_partition_base_case_series():
 
 
 def test_vandermonde_antisymmetrization():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert vandermonde_antisym_identity(n)
 
 

@@ -39,6 +39,7 @@ def test_bialternant_agrees_at_distinct_points():
             assert schur_staircase(n, pts) == schur_staircase_bialternant(n, pts)
     with pytest.raises(ValueError):
         schur_staircase_bialternant(2, [1, 1, 2, 3])
+    assert type(schur_staircase_bialternant(0, [])) is Fraction
 
 
 def test_symmetric_in_all_arguments():

@@ -122,7 +122,7 @@ def test_korepin_recursion_generic_q():
             s = [rat(rng, True) for _ in range(2 * n)]
             r = rat(rng, True)
             if abs(r) == 1:
-                r += 1
+                r *= 2  # q = 1 zeroes the normalization
             q = r * r
             s[n] = s[0] / r  # column-1 parameter pinned to z_1 / q
             z = [v * v for v in s]
