@@ -319,7 +319,9 @@ def a_profile_y1y() -> MultiPoly:
 
 def is_symmetric(phi: MultiPoly, u_vars) -> bool:
     """Full symmetry under permuting u_vars, checked on adjacent swaps: phi
-    with two names swapped in its variable tuple, aligned back, is phi."""
+    over u_vars and then its other variables, with two names swapped in its
+    variable tuple and aligned back, is phi."""
+    phi = phi.align(tuple(u_vars) + tuple(v for v in phi.vars if v not in u_vars))
     for v1, v2 in zip(u_vars, u_vars[1:]):
         swap = {v1: v2, v2: v1}
         relabelled = MultiPoly([swap.get(v, v) for v in phi.vars], phi.terms)
@@ -343,7 +345,7 @@ def zeilid_check(n: int, tau, phi: MultiPoly):
     evaluated as formal integrals; returns a report entry."""
     u = [f"u{i}" for i in range(1, n + 1)]
     coeff_vars = tuple(v for v in phi.vars if v not in u)
-    if not is_symmetric(phi.align(tuple(u) + coeff_vars), u):
+    if not is_symmetric(phi, u):
         raise ValueError("phi must be symmetric in the contour variables")
 
     lhs = _antisym_lhs(u, coeff_vars, phi, tau)

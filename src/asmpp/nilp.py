@@ -6,7 +6,10 @@ Paths may not share a lattice site (start sites and every site reached by a
 regular step included).  One extra step is then appended to each path: the
 first path's is diagonal, and each later path's is the unique choice making
 consecutive final x-coordinates differ by an odd number.  The extra step is
-determined, not chosen, so it is exempt from the collision rule.
+determined, not chosen, so it is exempt from the collision rule.  One parity
+rule states it, in `extra_steps` and `genfun_U` alike: with f the previous
+final x (0 before path 0) and e the end x of path t, the extra step is
+vertical when e - f is odd, and the new final x is e + 1 - (e - f) % 2.
 
 The k-statistics: u^0 counts vertical extra steps; for k >= 1, u^k counts
 vertical steps among the max(1, t-k+1)-th steps of the paths (a path with no
@@ -21,11 +24,16 @@ rises).  The site rule in `Nilp.validate` is kept apart from it as the
 independent check of the enumeration.
 
 `genfun_U` counts bundles without listing them: its DP state is the last
-path's x-profile and its final x; path t's extra step, and so its share of
-u^0, follows from the parity of its end x minus that final x, and its share
-of u^k (k >= 1) from its own steps.  Each state packs its counts by
-(u^i, u^j) into one int (see `GenPoly.from_packed`).  The sum over
-`enumerate_nilps` it replaces is kept in the tests as its oracle.
+path's x-profile and its final x; path t's share of u^0 follows from the
+parity rule, and its share of u^k (k >= 1) from its own steps.  Each state
+packs its counts by (u^i, u^j) into one int (see `GenPoly.from_packed`).
+The sum over `enumerate_nilps` it replaces is kept in the tests as its
+oracle.
+
+Both involutions are one island rule (`_swap_doubles`): a double is two
+consecutive steps of one path, paths whose doubles start at consecutive x
+form an island, the doubles of an island run in a canonical order, and
+exchanging two of their counts keeps every path's entry and exit sites.
 """
 
 from __future__ import annotations
@@ -98,22 +106,14 @@ class Nilp:
 
 
 def extra_steps(steps):
-    """The unique extra-step assignment: first path diagonal, consecutive
-    finals differing by an odd number."""
+    """The extra steps of a bundle's step strings, by the parity rule."""
     extras = []
-    prev_final = None
+    prev_final = 0
     for t, s in enumerate(steps):
-        end = t + sum(1 for ch in s if ch == DIAG)
-        if t == 0:
-            extras.append(DIAG)
-            prev_final = end + 1
-            continue
-        if (end - prev_final) % 2 == 1:
-            extras.append(VERT)
-            prev_final = end
-        else:
-            extras.append(DIAG)
-            prev_final = end + 1
+        end = t + s.count(DIAG)
+        vert = (end - prev_final) % 2
+        extras.append(VERT if vert else DIAG)
+        prev_final = end + 1 - vert
     return tuple(extras)
 
 
@@ -150,7 +150,7 @@ def u_statistic(p: Nilp, k: int) -> int:
     if not 0 <= k <= p.n:
         raise ValueError(f"k must be in [0, {p.n}]")
     if k == 0:
-        return sum(1 for e in p.extra if e == VERT)
+        return p.extra.count(VERT)
     count = 0
     for t in range(1, p.n):
         step_index = max(1, t - k + 1)
@@ -194,23 +194,33 @@ def genfun_U(n: int, i: int, j: int) -> GenPoly:
 # Involutions on the bundle set
 # ---------------------------------------------------------------------------
 
-def _double_step_islands(starts):
-    """Group path indices whose double-step start x-coordinates are
-    consecutive; `starts` is a list of (path_index, x)."""
+def _swap_doubles(p, starts, order, a, b):
+    """Exchange the a-count with the b-count of doubles in each island.
+
+    `starts` lists (t, i): path t's double is its steps i and i+1, the extra
+    step counting as step t.  Paths whose doubles start at consecutive x
+    form an island; an island's doubles must run in the canonical `order`,
+    and one with no double in `order` is left alone."""
+    walks = [list(s + e) for s, e in zip(p.steps, p.extra)]
     islands = []
-    current = []
-    prev_x = None
-    for t, x in starts:
-        if prev_x is not None and x == prev_x + 1:
-            current.append((t, x))
-        else:
-            if current:
-                islands.append(current)
-            current = [(t, x)]
+    for t, i in starts:
+        x = t + p.steps[t][:i].count(DIAG)
+        if not islands or x != prev_x + 1:
+            islands.append([])
+        islands[-1].append((t, i))
         prev_x = x
-    if current:
-        islands.append(current)
-    return islands
+    for island in islands:
+        doubles = ["".join(walks[t][i:i + 2]) for t, i in island]
+        counts = {d: doubles.count(d) for d in order}
+        if not any(counts.values()):
+            continue
+        if doubles != [d for d in order for _ in range(counts[d])]:
+            raise AssertionError(f"island {island} is not in canonical order")
+        counts[a], counts[b] = counts[b], counts[a]
+        swapped = [d for d in order for _ in range(counts[d])]
+        for (t, i), new in zip(island, swapped):
+            walks[t][i:i + 2] = new
+    return Nilp(["".join(w[:t]) for t, w in enumerate(walks)])
 
 
 def involution_g(p: Nilp, row: int) -> Nilp:
@@ -225,29 +235,9 @@ def involution_g(p: Nilp, row: int) -> Nilp:
     k = row
     if not 1 <= k <= p.n - 2:
         raise ValueError(f"row must be in [1, {p.n - 2}]")
-    steps = [list(s) for s in p.steps]
-    starts = []
-    for t in range(k + 1, p.n):
-        lo_index = t - k - 1            # 0-based index of the slice-(k+1) step
-        x = t + sum(1 for ch in p.steps[t][:lo_index] if ch == DIAG)
-        starts.append((t, x))
-    for island in _double_step_islands(starts):
-        doubles = []
-        for t, _x in island:
-            lo = t - k - 1
-            doubles.append(p.steps[t][lo] + p.steps[t][lo + 1])
-        r = doubles.count("VV")
-        s_cnt = doubles.count("VD")
-        t_cnt = doubles.count("DV")
-        u_cnt = doubles.count("DD")
-        if doubles != ["VV"] * r + ["VD"] * s_cnt + ["DV"] * t_cnt + ["DD"] * u_cnt:
-            raise AssertionError(f"island {island} is not in canonical order")
-        swapped = ["VV"] * r + ["VD"] * t_cnt + ["DV"] * s_cnt + ["DD"] * u_cnt
-        for (t, _x), new in zip(island, swapped):
-            lo = t - k - 1
-            steps[t][lo] = new[0]
-            steps[t][lo + 1] = new[1]
-    return Nilp(["".join(s) for s in steps])
+    # path t's slice-(k+1) step is its step t-k-1 (0-based)
+    return _swap_doubles(p, [(t, t - k - 1) for t in range(k + 1, p.n)],
+                         ("VV", "VD", "DV", "DD"), "VD", "DV")
 
 
 def involution_h(p: Nilp) -> Nilp:
@@ -260,28 +250,4 @@ def involution_h(p: Nilp) -> Nilp:
     number of diagonal last steps.  The first path is always of the second
     kind, hence invariant.
     """
-    if p.n == 1:
-        return p
-    steps = [list(s) for s in p.steps]
-    starts = []
-    for t in range(1, p.n):
-        x = t + sum(1 for ch in p.steps[t][:t - 1] if ch == DIAG)
-        starts.append((t, x))
-    for island in _double_step_islands(starts):
-        doubles = []
-        for t, _x in island:
-            doubles.append(p.steps[t][t - 1] + p.extra[t])
-        kinds = {d for d in doubles}
-        if kinds <= {"VV", "DD"}:
-            r = doubles.count("VV")
-            s_cnt = doubles.count("DD")
-            if doubles != ["VV"] * r + ["DD"] * s_cnt:
-                raise AssertionError(f"island {island} is not in canonical order")
-            swapped = ["VV"] * s_cnt + ["DD"] * r
-            for (t, _x), new in zip(island, swapped):
-                steps[t][t - 1] = new[0]
-        elif kinds <= {"VD", "DV"}:
-            continue  # second kind: h fixes it
-        else:
-            raise AssertionError(f"island {island} mixes both double kinds")
-    return Nilp(["".join(s) for s in steps])
+    return _swap_doubles(p, [(t, t - 1) for t in range(1, p.n)], ("VV", "DD"), "VV", "DD")

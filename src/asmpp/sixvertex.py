@@ -47,7 +47,7 @@ class VertexGrid:
 
     def validate(self):
         # Reconstruct the partial-sum edges; each type pins (T, S, entry).
-        to_asm(self)  # raises on inconsistency
+        six_vertex_to_asm(self)  # raises on inconsistency
 
     def __eq__(self, other):
         return isinstance(other, VertexGrid) and self.types == other.types
@@ -66,7 +66,7 @@ _TYPE_FROM_STATE = {
 _STATE_FROM_TYPE = {v: k for k, v in _TYPE_FROM_STATE.items()}
 
 
-def from_asm(a: Asm) -> VertexGrid:
+def asm_to_six_vertex(a: Asm) -> VertexGrid:
     """The unique DWBC arrow configuration of an ASM."""
     n = a.n
     grid = []
@@ -88,7 +88,7 @@ def from_asm(a: Asm) -> VertexGrid:
     return VertexGrid(grid, validate=False)
 
 
-def to_asm(g: VertexGrid) -> Asm:
+def six_vertex_to_asm(g: VertexGrid) -> Asm:
     """Inverse bijection; validates the ice rule and boundary as it goes."""
     n = g.n
     rows = []
@@ -117,11 +117,6 @@ def to_asm(g: VertexGrid) -> Asm:
     if any(c != 1 for c in col):
         raise ValueError("column arrows violate the boundary")
     return Asm(rows)
-
-
-# Public names matching the operation surface.
-asm_to_six_vertex = from_asm
-six_vertex_to_asm = to_asm
 
 
 def _inv(x):
@@ -175,7 +170,7 @@ def zn_normalized(n: int, z, r):
     cfac = qinv - q
     total = None
     for a in enumerate_asms(n):
-        types = from_asm(a).types
+        types = asm_to_six_vertex(a).types
         rho = [sum(t[0] == "c" for t in row) for row in types]
         gamma = [sum(t[0] == "c" for t in column) for column in zip(*types)]
         weight = cfac ** (sum(rho) - n)

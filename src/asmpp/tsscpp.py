@@ -1,15 +1,14 @@
 """Totally symmetric self-complementary plane partitions and their
 lattice-path images.
 
-A TSSCPP in the 2n-cube is stored as its 2n x 2n height array.  The whole
-array is reconstructible from the bottom-right triangle
-
-    b[s][j] = a[n+s][n+j],   1 <= j <= s <= n,
-
-because the solid of stacked cubes is invariant under coordinate
-permutations and complementation: a cell (i, j, k), sorted decreasingly to
-(p, q, r), either has its two largest coordinates in the upper half (then
-membership reads off the triangle) or its complement does.
+A TSSCPP in the 2n-cube is stored as its 2n x 2n height array a.  Its solid
+of stacked cubes is invariant under coordinate permutations and
+complementation, so one rule decides membership of a cell (i, j, k): if its
+two largest coordinates p >= q lie in the upper half n+1..2n, the cell is in
+the solid when b[p-n][q-n] is at least the third, where b[s][j] = a[n+s][n+j]
+(1 <= j <= s <= n) is the bottom-right triangle; any other cell is in it
+when its complement (2n+1-i, 2n+1-j, 2n+1-k) is not.  `from_triangle` counts
+each column's cells by this rule, one block of the array at a time.
 
 The path image: for each level c = n-t (t = 1..n-1), the boundary of the
 region of triangle entries >= c is a monotone staircase; reading its
@@ -104,29 +103,30 @@ def validate_triangle(n, tri):
 
 
 def from_triangle(n, tri) -> Tsscpp:
-    """Rebuild the full 2n x 2n array from the bottom-right triangle."""
+    """Rebuild the full 2n x 2n array from the bottom-right triangle, block
+    by block (0-based, x and y in 0..n-1, low the bottom-right block):
+
+      low[x][y] = a[n+x][n+y] is the triangle and its mirror image: every
+        cell above it with height k <= n has its two largest coordinates in
+        the upper half, and none with k > n is in the solid (b[s][j] < n);
+      a[x][y] = 2n - low[n-1-x][n-1-y]: all of these cells are complements;
+      a[x][n+y] = a[n+y][x] = #{v in low[y] : v > x}
+                              + #{v in low[n-1-x] : v < n-y}:
+        its cells with k > n read low[y] at k, those with k <= n are
+        complements read off low[n-1-x].
+
+    The off-diagonal count assumes the bounds `validate_triangle` checks."""
     validate_triangle(n, tri)
     m = 2 * n
-
-    def b_ge(p, q, r):
-        # membership for p >= q >= n+1 (1-based), any r
-        return tri[p - n - 1][q - n - 1] >= r
-
-    def member(i, j, k):
-        p, q, r = sorted((i, j, k), reverse=True)
-        if q >= n + 1:
-            if p <= n:  # impossible since p >= q
-                raise AssertionError
-            return b_ge(p, q, r)
-        # at most one coordinate in the upper half: complement instead
-        fp, fq, fr = m + 1 - r, m + 1 - q, m + 1 - p
-        return not b_ge(fp, fq, fr)
-
-    heights = [
-        [sum(1 for k in range(1, m + 1) if member(i, j, k)) for j in range(1, m + 1)]
-        for i in range(1, m + 1)
-    ]
-    return Tsscpp(heights)
+    low = [[tri[max(x, y)][min(x, y)] for y in range(n)] for x in range(n)]
+    a = [[0] * m for _ in range(m)]
+    for x in range(n):
+        for y in range(n):
+            a[n + x][n + y] = low[x][y]
+            a[x][y] = m - low[n - 1 - x][n - 1 - y]
+            a[x][n + y] = a[n + y][x] = (sum(v > x for v in low[y])
+                                         + sum(v < n - y for v in low[n - 1 - x]))
+    return Tsscpp(a)
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,8 @@ SUITES = {
     # terms and the check passes vacuously.
     "even-partitions": (suite_even_partitions, (1, 3), 5),
     "bijections": (suite_bijections, (1, 4), 5),
-    "involutions": (suite_involutions, (1, 4), 4),
-    "mrr": (suite_mrr, (1, 4), 4),
+    "involutions": (suite_involutions, (1, 4), 5),
+    "mrr": (suite_mrr, (1, 4), 5),
     "zprime": (suite_zprime, (1, 3), 4),
     "six-vertex": (suite_sixv_schur, (1, 3), 4),
 }

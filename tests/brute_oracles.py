@@ -1,5 +1,5 @@
-"""Brute-force oracles for the doubly refined polynomials and the six-vertex
-partition sum.
+"""Brute-force oracles for the doubly refined polynomials, the six-vertex
+partition sum and the TSSCPP height array.
 
 Each is a sum over listed objects: every ASM from `enumerate_asms`, every
 bundle from `enumerate_nilps`.  The library computes the same polynomials
@@ -9,7 +9,9 @@ affordable (n <= 6).  Each size is listed once per test session: the
 statistics of every object are tallied and cached, and each polynomial is
 read off the tally.  The six-vertex sum applies the vertex weights at the
 square roots s of the spectral parameters; the library's one weight loop
-(`sixvertex.zn_normalized`) works at z = s**2 instead.
+(`sixvertex.zn_normalized`) works at z = s**2 instead.  The height array
+is counted cell by cell from the membership rule, which
+`tsscpp.from_triangle` works out block by block.
 """
 
 from collections import Counter
@@ -19,7 +21,7 @@ from functools import lru_cache
 from asmpp.asm import enumerate_asms, refined_stat
 from asmpp.genpoly import GenPoly
 from asmpp.nilp import enumerate_nilps, u_statistic
-from asmpp.sixvertex import from_asm
+from asmpp.sixvertex import asm_to_six_vertex
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +75,7 @@ def brute_weighted_partition_sum(n: int, s, r):
     total = None
     for a in enumerate_asms(n):
         weight = 1
-        for i, row in enumerate(from_asm(a).types):
+        for i, row in enumerate(asm_to_six_vertex(a).types):
             for j, t in enumerate(row):
                 zr, wc = z[i], z[n + j]
                 if t[0] == "a":
@@ -84,3 +86,31 @@ def brute_weighted_partition_sum(n: int, s, r):
                     weight = weight * (cfac * s[i] * s[n + j])
         total = weight if total is None else total + weight
     return total
+
+
+def membership_heights(n, tri):
+    """The 2n x 2n height array of the TSSCPP with bottom-right triangle
+    `tri`, counting for each column (i, j) the cells (i, j, k) of the solid:
+    a cell whose two largest coordinates lie in the upper half reads
+    membership off the triangle, any other cell is in the solid exactly when
+    its complement is not."""
+    m = 2 * n
+
+    def b_ge(p, q, r):
+        # membership for p >= q >= n+1 (1-based), any r
+        return tri[p - n - 1][q - n - 1] >= r
+
+    def member(i, j, k):
+        p, q, r = sorted((i, j, k), reverse=True)
+        if q >= n + 1:
+            if p <= n:  # impossible since p >= q
+                raise AssertionError
+            return b_ge(p, q, r)
+        # at most one coordinate in the upper half: complement instead
+        fp, fq, fr = m + 1 - r, m + 1 - q, m + 1 - p
+        return not b_ge(fp, fq, fr)
+
+    return [
+        [sum(1 for k in range(1, m + 1) if member(i, j, k)) for j in range(1, m + 1)]
+        for i in range(1, m + 1)
+    ]

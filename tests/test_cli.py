@@ -113,6 +113,9 @@ def test_verify_unknown_suite_or_bad_range():
     (("verify", "wheel", "--n", "6"), 5),
     (("verify", "zprime", "--n", "5"), 4),
     (("verify", "six-vertex", "--n", "5"), 4),
+    (("verify", "bijections", "--n", "6"), 5),
+    (("verify", "involutions", "--n", "6"), 5),
+    (("verify", "mrr", "--n", "6"), 5),
 ])
 def test_counting_route_caps(argv, cap, capsys):
     assert main(list(argv)) == 2

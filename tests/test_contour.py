@@ -114,6 +114,10 @@ def test_zeilid_rejects_asymmetric_phi():
     assert rep["pass"], rep
     same = zeilid_check(2, 1, phi.align(("u1", "u2", "x")))
     assert (rep["got"], rep["expected"]) == (same["got"], same["expected"])
+    # u_vars that phi does not name: a missing name is a variable of degree 0
+    assert not is_symmetric(MultiPoly(("u1",), {(1,): 1}), ("u1", "u2"))
+    assert is_symmetric(MultiPoly(("x",), {(1,): 1}), ("u1", "u2"))
+    assert is_symmetric(MultiPoly(("u1", "x"), {(0, 1): 1}), ("u1", "u2"))
 
 
 def test_even_partition_sums():

@@ -20,6 +20,11 @@ def test_counts():
     for n in range(1, 7):
         bundles = [Nilp(p.steps) for p in enumerate_nilps(n)]
         assert len(set(bundles)) == len(bundles) == asm_count_formula(n)
+        # the defining property of the extra steps, read off the finals
+        for p in bundles:
+            finals = [t + (p.steps[t] + p.extra[t]).count("D") for t in range(n)]
+            assert p.extra[0] == "D" and set(p.extra) <= {"V", "D"}
+            assert all((b - a) % 2 == 1 for a, b in zip(finals, finals[1:]))
 
 
 def test_count_size7():

@@ -8,14 +8,15 @@ routes at n = 1..7 in all three formats (nilp with two statistic pairs),
 and every verify suite at seed 11 in all three formats.  The benchmark's
 own sizes are pinned too: lgv at n = 7, integral-I with the rational --a
 vectors of benchmark seeds 0 and 7 (at n = 5, and extended by one entry at
-n = 6), in all three formats, and doubly-refined at n = 6 and 1..6 in json
-and pretty.  The asm, nilp and doubly-refined digests at n = 6 and 7 were
-recorded from the brute enumeration those routes ran before their DPs.  The
-enumerate command is pinned for asm, nilp and tsscpp at n = 1..5 in all
-three formats and at the benchmark's sizes (asm and nilp at n = 6) in json;
-the nilp digests were recorded from the occupied-site search that listed
-bundles before the profile walk.  A change that keeps these digests keeps
-the reports byte-identical.
+n = 6), in all three formats; doubly-refined at n = 6 and 1..6 in json and
+pretty; and the involutions and mrr suites at their cap n = 5 in json.  The
+asm, nilp and doubly-refined digests at n = 6 and 7 were recorded from the
+brute enumeration those routes ran before their DPs.  The enumerate command
+is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats and at
+the benchmark's sizes (asm and nilp at n = 6) in json; the nilp digests were
+recorded from the occupied-site search that listed bundles before the
+profile walk.  A change that keeps these digests keeps the reports
+byte-identical.
 """
 
 import hashlib
@@ -70,6 +71,8 @@ def report_cases():
     for n_range in ("6", "1..6"):
         for fmt in ("json", "pretty"):
             cases.append(("verify", "doubly-refined", "--n", n_range, "--format", fmt))
+    for suite in ("involutions", "mrr"):
+        cases.append(("verify", suite, "--n", "5", "--format", "json"))
     for n in range(1, 6):
         for kind in ("asm", "nilp", "tsscpp"):
             for fmt in ("json", "csv", "pretty"):
@@ -636,6 +639,10 @@ DIGESTS = {
         "2f54d580b265e8a57e463622b06e0e6ec537341520fd244264870c776e16450b",
     "verify doubly-refined --n 1..6 --format pretty":
         "4477f340ee010a8bae035dcdc15246af984905b069b82489adfc99cc70806a14",
+    "verify involutions --n 5 --format json":
+        "a412452c6f3370c2fa9881701ad48256dada4664186cc1660b683d5ebb7810e7",
+    "verify mrr --n 5 --format json":
+        "8c7e6d38fb80e614b86ec6eadce714764bd361e13059b56b1df6dfa2938cdf89",
     "enumerate asm --n 1 --format json":
         "5a6f815ada4dbafdd732970c99c202ff6d7178790c71318705c3f55ee882e2a8",
     "enumerate asm --n 1 --format csv":

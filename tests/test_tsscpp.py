@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from brute_oracles import membership_heights
 
 from asmpp.asm import asm_count_formula
 from asmpp.nilp import enumerate_nilps, u_statistic
@@ -95,33 +96,44 @@ def test_validation_errors_name_the_violation():
         validate_triangle(3, [[0], [1, 1], [0, 0, 0]])  # column increases
 
 
+def _triangles(n):
+    """Every triangle with bounded, doubly monotone entries."""
+    rows = [[]]
+    for s in range(1, n + 1):
+        new = []
+        for partial in rows:
+            prev = partial[-1] if partial else None
+
+            def fill(row, j):
+                if j == s:
+                    new.append(partial + [row])
+                    return
+                hi = n - s
+                if j > 0:
+                    hi = min(hi, row[j - 1])
+                if prev is not None and j < len(prev):
+                    hi = min(hi, prev[j])
+                for v in range(hi + 1):
+                    fill(row + [v], j + 1)
+
+            fill([], 0)
+        rows = new
+    return rows
+
+
 def test_triangle_count_matches():
     # triangles with bounded, doubly monotone entries biject with bundles
-    def triangles(n):
-        rows = [[]]
-        for s in range(1, n + 1):
-            new = []
-            for partial in rows:
-                prev = partial[-1] if partial else None
+    assert len(_triangles(3)) == 7
+    assert len(_triangles(4)) == 42
 
-                def fill(row, j):
-                    if j == s:
-                        new.append(partial + [row])
-                        return
-                    hi = n - s
-                    if j > 0:
-                        hi = min(hi, row[j - 1])
-                    if prev is not None and j < len(prev):
-                        hi = min(hi, prev[j])
-                    for v in range(hi + 1):
-                        fill(row + [v], j + 1)
 
-                fill([], 0)
-            rows = new
-        return rows
-
-    assert len(triangles(3)) == 7
-    assert len(triangles(4)) == 42
+def test_block_heights_match_the_membership_rule():
+    # from_triangle fills the array block by block; the oracle counts each
+    # column's cells one at a time by the membership rule
+    cases = [(n, tri) for n in range(1, 6) for tri in _triangles(n)]
+    assert len(cases) == 1 + 2 + 7 + 42 + 429
+    for n, tri in cases:
+        assert [list(r) for r in from_triangle(n, tri).heights] == membership_heights(n, tri)
 
 
 def test_mrr_statistics():
