@@ -150,9 +150,9 @@ def genfun_doubly_refined(n: int, convention: str = "tilde") -> GenPoly:
         raise ValueError(f"unknown convention {convention!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    # a count packs into a width-bit field: the chains of subsets of
-    # range(n) number at most 2**(n*n)
-    width = n * n + 1
+    # a count packs into a width-bit field with its top bit clear: the
+    # chains of subsets of range(n) number at most 2**(n*n)
+    width = n * n + 2
     layer = {(c,): 1 << (c * width) for c in range(n)}  # x**(first column)
     for _ in range(n - 2):
         nxt = {}

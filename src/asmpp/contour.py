@@ -1,4 +1,5 @@
-"""Formal contour integrals as iterated constant-term extraction.
+"""Formal contour integrals: iterated residues, and sums of determinants
+where the integrand holds a Cauchy kernel.
 
 An IntegrandSpec declares, per contour variable, the power of the monomial
 denominator, plus an ordered list of factors.  Each factor is either a
@@ -12,19 +13,30 @@ the coefficient of u**-1 one variable at a time, the last contour variable
 first.  Since every factor is a polynomial (or expands into one) with
 nonnegative exponents, exponents never decrease after the initial monomial;
 a term past exponent -1 in any contour variable can therefore never
-contribute, so every contour exponent is capped at -1 from the start.  The
-even-partition check runs on the same kernel, with one contour variable
-that collects the homogeneous parts of bounded degree.
+contribute, so every contour exponent is capped at -1 from the start.  This
+residue kernel evaluates integral_I, zeilid_check, homogeneous_limit_check
+and even_partition_sum_check (one contour variable that collects the
+homogeneous parts of bounded degree).
+
+integral_A and integral_U take no residue.  Their integrands are the Cauchy
+kernel prod_{i<j} (u_j-u_i) / prod_{i<=j} (1-u_i u_j) (for A once the
+zeilid identity has antisymmetrized its qKZ cross factors) times
+prod_i f_i(u_i) / u_i**(e_i+1).  The kernel is the sum of det[u_i**r_j]
+over 0 <= r_0 < r_1 < ... with r_0 even and odd gaps (the even-partitions
+identity), so by Cauchy-Binet the integral is the sum over those sequences
+of det[c_i(r_j)], c_i(r) = [u**(e_i - r)] f_i, which lgv.minor_sum runs on
+Kronecker-packed ints x = 2**W, y = 2**(W*s).  A term takes one entry per
+row, so its x-degree is below s = 1 + the sum of the rows' x-degrees (n on
+every route) and each coefficient is at most prod_i (1 + sum_r l1(c_i(r)));
+W is that bound's bit length plus a sign bit (50 bits for A at n = 9).
 
 The builders share one factor vocabulary: `_poly` makes a factor over just
 the variables it names (the kernel aligns every factor to the spec), and
 `_one_plus`, `_add_qkz_cross`, `_add_cauchy` and `_vandermonde_pairs` give
 the numerators 1 + c*m, the qKZ cross factors, the Cauchy kernel and the
 Vandermonde pairs.  Factors of one stage multiply in the order they were
-added, which changes only the size of the intermediate series, so the order
-is measured: `integral_U` adds its Cauchy kernel before its numerators
-(about 40% fewer term products at n = 6), while the other builders add
-their numerators first (the kernel first costs 54% more term products in
+added, which changes only the size of the intermediate series: numerators
+go first (the kernel first costs 54% more term products in
 `homogeneous_limit_check(4)`).
 """
 
@@ -40,8 +52,10 @@ from .algebra.poly import MultiPoly
 from .algebra.series import ContourSideError, positive_valuation
 from .checks import check
 from .genpoly import GenPoly
+from .lgv import minor_sum
 
 XY = ("x", "y")
+UXY = ("u",) + XY
 
 
 @dataclass
@@ -225,17 +239,85 @@ def _vandermonde_pairs(us, tau_mono):
         yield _poly((1, {ui: 1}), (1, {uj: 1}), (1, {ui: 1, uj: 1, **tau_mono}))
 
 
-def _interpolating(n, avec, first) -> GenPoly:
-    """The interpolating integral over the n-1 variables u_first, u_first+1,
-    ...: the k-th gets the denominator u**(2k), numerators (1 + u + a_k u**2)
-    and (1 + x u), the factor 1/(1 + u(1-y)) expanded about the origin, and
-    every pair gets the qKZ cross factor.
+def _cauchy_binet(rows) -> GenPoly:
+    """The Cauchy-Binet sum of the module docstring over the rows (e_i, f_i),
+    f_i a MultiPoly in (u, x, y), on Kronecker-packed ints."""
+    entries = [{} for _ in rows]  # per row: {r: {(x exponent, y exponent): c}}
+    for row, (e, f) in zip(entries, rows):
+        for (d, a, b), c in math.prod((g.align(UXY) for g in f), start=1).terms.items():
+            if d <= e:
+                row.setdefault(e - d, {})[a, b] = c
+    stride = 1 + sum(max(a for col in row.values() for a, _ in col) for row in entries)
+    bound = math.prod(1 + sum(abs(c) for col in row.values() for c in col.values())
+                      for row in entries)
+    width = bound.bit_length() + 1
+    columns = {}
+    for i, row in enumerate(entries):
+        for r, col in row.items():
+            packed = sum(c << (a + b * stride) * width for (a, b), c in col.items())
+            columns.setdefault(r, []).append((i, packed))
+    firsts = range(0, max(columns, default=0) + 1, 2)
+    return GenPoly.from_packed(minor_sum(len(rows), columns, firsts, 1), stride, width)
 
-    A scalar a_k = p/d enters as d(1 + u + a_k u**2) = d + d u + p u**2, so
-    the residue runs on integers; it is divided once by the product of the
-    denominators d.  A polynomial a_k enters as it is (d = 1).
+
+def integral_A(n: int) -> GenPoly:
+    """The doubly refined ASM polynomial as a formal integral, integral_I
+    with every a_l = 0; as a Cauchy-Binet sum its rows are k = 1..n-1 with
+    e_k = 2k-1 and f_k = (1+u)**k (1+x u) / (1-(y-1) u)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # 1/(1 - (y-1) u) up to u**(2n-3), the highest power any row reaches
+    shift = _poly((1, {"u": 1, "y": 1}), (-1, {"u": 1}))
+    geometric = power = shift ** 0
+    for _ in range(2 * n - 3):
+        power = power * shift
+        geometric = geometric + power
+    return _cauchy_binet([
+        (2 * k - 1, [_one_plus({"u": 1}) ** k, _one_plus({"u": 1, "x": 1}), geometric])
+        for k in range(1, n)])
+
+
+def integral_U(n: int, form: str = "raw") -> GenPoly:
+    """The refined lattice-path polynomial as a formal integral.
+
+    form="raw": the n-fold integral with denominators u_i**(2i-1), factors
+    1/(1-u_i**2), (1+x u_i), (1+y u_i) and (1+u_i)**(i-2) for i >= 2, and
+    cross factors (u_j-u_i)/(1-u_i u_j).
+    form="after-u1": the (n-1)-fold integral left after the innermost
+    variable has been integrated out: the same factors over u_2..u_n, with
+    denominators u_i**(2i-2).  Both must agree.  As a Cauchy-Binet sum the
+    rows are i = 1..n with e_i = 2i-2 (raw) or i = 2..n with e_i = 2i-3
+    (after-u1), f_1 = 1 + x u and f_i = (1+x u)(1+y u)(1+u)**(i-2).
     """
-    u = [f"u{l}" for l in range(first, first + n - 1)]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if form not in ("raw", "after-u1"):
+        raise ValueError(f"unknown form {form!r}")
+    first = 1 if form == "raw" else 2
+    rows = []
+    for i in range(first, n + 1):
+        f = [_one_plus({"u": 1, "x": 1})]
+        if i >= 2:
+            f += [_one_plus({"u": 1, "y": 1}), _one_plus({"u": 1}) ** (i - 2)]
+        rows.append((2 * i - 1 - first, f))
+    return _cauchy_binet(rows)
+
+
+def integral_I(n: int, avec) -> GenPoly:
+    """The interpolating integral over u_1..u_{n-1}: the k-th variable gets
+    the denominator u**(2k), numerators (1 + u + a_k u**2) and (1 + x u), the
+    factor 1/(1 + u(1-y)) expanded about the origin, and every pair the qKZ
+    cross factor.  avec supplies a_1..a_{n-1} as rationals or polynomials in
+    (x, y); the result does not depend on them (the a-independence suite
+    checks it): a_l = 0 gives the ASM polynomial, a_l = y(1-y) the
+    lattice-path one.  A scalar a_k = p/d enters as d + d u + p u**2, so the
+    residue runs on integers and is divided once by the product of the d's.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(avec) != n - 1:
+        raise ValueError("need n-1 interpolation entries")
+    u = [f"u{l}" for l in range(1, n)]
     spec = IntegrandSpec(tuple(u), {ul: 2 * k for k, ul in enumerate(u, 1)})
     scale = 1
     for ul, a_l in zip(u, avec):
@@ -254,57 +336,6 @@ def _interpolating(n, avec, first) -> GenPoly:
     if scale != 1:
         residue = residue * Fraction(1, scale)
     return GenPoly.from_poly(residue)
-
-
-def integral_A(n: int) -> GenPoly:
-    """The (n-1)-fold formal integral for the doubly refined ASM polynomial:
-    the interpolating integral with every a_l = 0, over variables u_2..u_n
-    with denominators u_l**(2l-2), numerators (1+u_l)(1+x u_l), the
-    1/(1+u_l(1-y)) factor expanded about the origin, and the antisymmetrizing
-    cross factors (u_m - u_l)(1+u_m+u_m u_l)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _interpolating(n, [0] * (n - 1), 2)
-
-
-def integral_U(n: int, form: str = "raw") -> GenPoly:
-    """The refined lattice-path polynomial as a formal integral.
-
-    form="raw": the n-fold integral with denominators u_i**(2i-1), factors
-    1/(1-u_i**2), (1+x u_i), (1+y u_i) and (1+u_i)**(i-2) for i >= 2, and
-    cross factors (u_j-u_i)/(1-u_i u_j).
-    form="after-u1": the (n-1)-fold integral left after the innermost
-    variable has been integrated out: the same factors over u_2..u_n, with
-    denominators u_i**(2i-2).  Both must agree.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if form not in ("raw", "after-u1"):
-        raise ValueError(f"unknown form {form!r}")
-    first = 1 if form == "raw" else 2
-    u = [f"u{i}" for i in range(first, n + 1)]
-    spec = IntegrandSpec(tuple(u), {ui: 2 * i - first for i, ui in enumerate(u, first)})
-    _add_cauchy(spec, u)  # before the numerators: see the module docstring
-    for i, ui in enumerate(u, first):
-        spec.add_poly(_one_plus({ui: 1, "x": 1}))
-        if i >= 2:
-            spec.add_poly(_one_plus({ui: 1, "y": 1}))
-            spec.add_poly(_one_plus({ui: 1}) ** (i - 2))
-    return GenPoly.from_poly(iterated_residue(spec))
-
-
-def integral_I(n: int, avec) -> GenPoly:
-    """The interpolating integral with numerators (1 + u_l + a_l u_l**2).
-
-    avec supplies a_1..a_{n-1} as rationals or polynomials in (x, y); the
-    result does not depend on them (a fact the verification suite checks):
-    a_l = 0 gives the ASM polynomial, a_l = y(1-y) the lattice-path one.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(avec) != n - 1:
-        raise ValueError("need n-1 interpolation entries")
-    return _interpolating(n, avec, 1)
 
 
 def a_profile_y1y() -> MultiPoly:
@@ -406,13 +437,7 @@ def _even_odd_sequences(n: int, bound: int):
     """0 <= r_0 < ... < r_{n-1} <= bound, r_0 even, consecutive gaps odd."""
     seqs = [[r] for r in range(0, bound + 1, 2)]
     for _ in range(n - 1):
-        nxt = []
-        for s in seqs:
-            r = s[-1] + 1
-            while r <= bound:
-                nxt.append(s + [r])
-                r += 2
-        seqs = nxt
+        seqs = [s + [r] for s in seqs for r in range(s[-1] + 1, bound + 1, 2)]
     return seqs
 
 

@@ -38,15 +38,20 @@ class GenPoly:
 
     @classmethod
     def from_packed(cls, packed, n, width) -> "GenPoly":
-        """The GenPoly whose x**i * y**j coefficient (0 <= i, j < n) is the
-        width-bit field of the int `packed` at bit (i + j*n) * width."""
+        """The GenPoly whose x**i * y**j coefficient (0 <= i < n) is the
+        balanced width-bit field of the int `packed` at bit (i + j*n) * width:
+        a field from 2**(width-1) up stands for itself minus 2**width and
+        borrows 1 from the rest.  Fields are read until the int is used up, so
+        no y-degree is cut off."""
         result = cls()
-        mask = (1 << width) - 1
-        for j in range(n):
-            for i in range(n):
-                count = (packed >> ((i + j * n) * width)) & mask
-                if count:
-                    result.add_term(i, j, count)
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        k = 0
+        while packed:
+            count = ((packed + half) & mask) - half
+            packed = (packed - count) >> width
+            if count:
+                result.add_term(k % n, k // n, count)
+            k += 1
         return result
 
     def add_term(self, i, j, count=1):

@@ -10,13 +10,18 @@ polynomial
 The whole non-intersecting bundle (extra steps included; the trivial first
 path contributes the empty product) is counted by the sum of det[P(i, r_j)]
 over endpoint sequences 1 = r_1 < ... < r_{n-1} with odd gaps and
-r_j <= 2j + 1.  lgv_genfun expands every determinant along its columns and
-shares the prefixes (the minor-summation view of Stembridge 1990): a state
-is the set of rows used so far and the last endpoint, column j adds an
-unused row i and an endpoint r, and the sign is (-1)^(number of used rows
-above i).  Only ring products and sums are needed, no division.  The sum of
-one Bareiss determinant per endpoint sequence stays as lgv_genfun_det, the
-oracle the tests compare the DP with.
+r_j <= 2j + 1 (past it the last n - j columns have only the n - j - 1 rows
+above j).  minor_sum evaluates such sums of minors (Stembridge 1990;
+Ishikawa-Wakayama 1995) for any entries c_i(r) and first endpoints, with
+odd gaps after them: it expands every determinant along its columns and
+shares the prefixes.  A state is the set of rows used so far and the last
+endpoint, column j adds an unused row i and an endpoint r, and the sign is
+(-1)^(number of used rows with a larger index than i).  A row whose last
+entry lies below r must already be used, which prunes every state that
+cannot complete.  Only ring products, sums and negation are needed, so the
+same DP runs on the weights' ring in lgv_genfun and on Kronecker-packed ints
+in contour.integral_A and integral_U.  The sum of one Bareiss determinant
+per endpoint sequence stays as lgv_genfun_det, the test oracle.
 """
 
 from __future__ import annotations
@@ -48,43 +53,58 @@ def endpoint_sequences(n: int):
     """All admissible (r_1 .. r_{n-1}): r_1 = 1, odd gaps, r_i <= 2i + 1."""
     seqs = [[1]] if n >= 2 else [[]]
     for i in range(2, n):
-        nxt = []
-        for s in seqs:
-            r = s[-1] + 1
-            while r <= 2 * i + 1:
-                nxt.append(s + [r])
-                r += 2
-        seqs = nxt
+        seqs = [s + [r] for s in seqs for r in range(s[-1] + 1, 2 * i + 2, 2)]
     return seqs
+
+
+def minor_sum(rows: int, columns, firsts, one):
+    """The sum of det[c_i(r_j)] (i, j < rows) over the endpoint sequences
+    r_0 < ... < r_{rows-1} with r_0 in `firsts` (ascending) and every later
+    gap odd, by the column-by-column Laplace DP.
+
+    columns maps each endpoint r to its entries [(i, c_i(r)), ...] (zero
+    ones may be left out), and covers the first endpoints; `one` is the
+    ring's unit.  A state is (bitmask of used rows, last endpoint).
+    """
+    top = max(columns, default=-1)
+    last_entry = {i: r for r in sorted(columns) for i, _ in columns[r]}
+    # must[r]: the rows with no entry at r or later
+    must = [sum(1 << i for i in range(rows) if last_entry.get(i, -1) < r)
+            for r in range(top + 1)]
+    layer = {(0, None): one}
+    for _ in range(rows):
+        nxt = {}
+        for (used, last), value in layer.items():
+            for r in firsts if last is None else range(last + 1, top + 1, 2):
+                if used & must[r] != must[r]:
+                    break
+                for i, entry in columns.get(r, ()):
+                    if used >> i & 1:
+                        continue
+                    term = value * entry
+                    if (used >> (i + 1)).bit_count() & 1:
+                        term = -term
+                    key = (used | 1 << i, r)
+                    nxt[key] = nxt[key] + term if key in nxt else term
+        layer = nxt
+    return sum(layer.values(), one - one)
 
 
 def lgv_genfun(n: int, weights):
     """Weighted bundle count: the sum over endpoint sequences of
-    det[P(i, r_j)], by the column-by-column Laplace DP.
+    det[P(i, r_j)], by minor_sum with rows i = 1..n-1 and r_1 = 1.
 
     `weights` has length n (slab 0 = extra step); entries may be scalars or
     polynomials in a shared ring.
     """
     if len(weights) != n:
         raise ValueError("need one weight per slab (length n)")
-    zero = 0 * weights[0]
-    esym = [elementary_symmetric(weights[: i + 1]) for i in range(n)]
-    layer = {(0, 0): 1 + zero}  # (bitmask of used rows, last endpoint) -> sum
-    for j in range(1, n):
-        nxt = {}
-        for (used, last), value in layer.items():
-            for r in [1] if j == 1 else range(last + 1, 2 * j + 2, 2):
-                # P(i, r) needs 0 <= 2i - r <= i + 1
-                for i in range(max(1, (r + 1) // 2), min(n, r + 2)):
-                    if used >> i & 1:
-                        continue
-                    term = value * esym[i][2 * i - r]
-                    if bin(used >> (i + 1)).count("1") % 2:
-                        term = -term
-                    key = (used | 1 << i, r)
-                    nxt[key] = nxt[key] + term if key in nxt else term
-        layer = nxt
-    return sum(layer.values(), zero)
+    columns = {}
+    for i in range(1, n):  # P(i, r) needs 0 <= 2i - r <= i + 1
+        esym = elementary_symmetric(weights[: i + 1])
+        for r in range(i - 1, 2 * i + 1):
+            columns.setdefault(r, []).append((i - 1, esym[2 * i - r]))
+    return minor_sum(n - 1, columns, [1], 1 + 0 * weights[0])
 
 
 def lgv_genfun_det(n: int, weights):

@@ -165,9 +165,9 @@ def genfun_U(n: int, i: int, j: int) -> GenPoly:
         raise ValueError("statistic indices must be in [0, n]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    # a count packs into a width-bit field: path t has at most 2**t step
-    # strings, so there are at most 2**(n*(n-1)/2) bundles
-    width = n * (n - 1) // 2 + 1
+    # a count packs into a width-bit field, top bit clear: path t has at
+    # most 2**t step strings, so there are at most 2**(n*(n-1)/2) bundles
+    width = n * (n - 1) // 2 + 2
     layer = {(0,): {1: 1}}  # x-profile -> final x -> packed counts
     for t in range(1, n):
         # path t adds to u^k (k >= 1) when its max(1, t-k+1)-th step is

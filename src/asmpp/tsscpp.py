@@ -18,6 +18,8 @@ with horizontal steps becoming diagonal ones.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .nilp import Nilp, VERT, DIAG
 
 
@@ -57,14 +59,7 @@ class Tsscpp:
                     raise TsscppError(f"transpose symmetry fails at ({i+1},{j+1})")
                 if a[i][j] + a[m - 1 - i][m - 1 - j] != m:
                     raise TsscppError(f"self-complementarity fails at ({i+1},{j+1})")
-        # full axis symmetry of the cube stack
-        for i in range(m):
-            for j in range(m):
-                for k in range(1, m + 1):
-                    if (a[i][j] >= k) != (a[j][k - 1] >= i + 1):
-                        raise TsscppError(
-                            f"axis-permutation symmetry fails at ({i+1},{j+1},{k})"
-                        )
+        _check_axis_symmetry(a)
 
     def triangle(self):
         """Bottom-right triangle rows: row s has entries b[s][1..s]."""
@@ -85,6 +80,21 @@ class Tsscpp:
 
     def to_rows(self):
         return [list(r) for r in self.heights]
+
+
+def _check_axis_symmetry(a):
+    """The full axis symmetry of the cube stack: (a[i][j] >= k) equals
+    (a[j][k-1] >= i+1) for every cell (i, j, k).  Rows are weakly decreasing
+    (checked before), so both sides hold for k up to a bound: the cells of
+    (i, j) agree when a[i][j] = #{k : a[j][k] > i}.  Only the first (i, j)
+    that differs is searched for its first k, for the message."""
+    m = len(a)
+    rising = [row[::-1] for row in a]
+    for i in range(m):
+        for j in range(m):
+            if a[i][j] != m - bisect_right(rising[j], i):
+                k = next(k for k in range(1, m + 1) if (a[i][j] >= k) != (a[j][k - 1] >= i + 1))
+                raise TsscppError(f"axis-permutation symmetry fails at ({i+1},{j+1},{k})")
 
 
 def validate_triangle(n, tri):

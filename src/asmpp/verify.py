@@ -270,7 +270,7 @@ SUITES = {
     "dyck": (suite_dyck, (1, 4), 6),
     "wheel": (suite_wheel, (2, 3), 5),
     "recursion": (suite_recursion, (2, 3), 4),
-    "zeilid": (suite_zeilid, (1, 4), 4),
+    "zeilid": (suite_zeilid, (1, 4), 5),
     "a-independence": (suite_a_independence, (1, 4), 6),
     "appendix-d": (suite_appendix_d, (1, 3), 4),
     # n = 5 is the last n where the suite's bound 2n + 2 reaches the lowest
@@ -280,7 +280,7 @@ SUITES = {
     "bijections": (suite_bijections, (1, 4), 5),
     "involutions": (suite_involutions, (1, 4), 5),
     "mrr": (suite_mrr, (1, 4), 5),
-    "zprime": (suite_zprime, (1, 3), 4),
+    "zprime": (suite_zprime, (1, 3), 5),
     "six-vertex": (suite_sixv_schur, (1, 3), 4),
 }
 

@@ -71,8 +71,11 @@ def test_genfun_csv_format():
 
 
 def test_genfun_integral_limit():
-    code, _ = run_cli("genfun", "integral-A", "--n", "8")
-    assert code == 2
+    for route, cap in (("integral-A", 9), ("integral-U", 9), ("integral-I", 7)):
+        code, _ = run_cli("genfun", route, "--n", str(cap + 1))
+        assert code == 2, route
+    code, out = run_cli("genfun", "integral-U", "--n", "9", "--form", "after-u1")
+    assert code == 0 and json.loads(out)["total"] == 911835460
 
 
 def test_genfun_lgv_limit():
@@ -111,11 +114,12 @@ def test_verify_unknown_suite_or_bad_range():
     (("verify", "even-partitions", "--n", "6"), 5),
     (("verify", "dyck", "--n", "7"), 6),
     (("verify", "wheel", "--n", "6"), 5),
-    (("verify", "zprime", "--n", "5"), 4),
+    (("verify", "zprime", "--n", "6"), 5),
     (("verify", "six-vertex", "--n", "5"), 4),
     (("verify", "bijections", "--n", "6"), 5),
     (("verify", "involutions", "--n", "6"), 5),
     (("verify", "mrr", "--n", "6"), 5),
+    (("verify", "zeilid", "--n", "6"), 5),
 ])
 def test_counting_route_caps(argv, cap, capsys):
     assert main(list(argv)) == 2
@@ -123,7 +127,7 @@ def test_counting_route_caps(argv, cap, capsys):
 
 
 @pytest.mark.parametrize("suite, cap, total", [
-    ("dyck", 6, 132), ("wheel", 5, 20), ("zprime", 4, 20), ("six-vertex", 4, 10),
+    ("dyck", 6, 132), ("wheel", 5, 20), ("zprime", 5, 20), ("six-vertex", 4, 10),
 ])
 def test_q3_suites_pass_at_their_cap(suite, cap, total):
     code, out = run_cli("verify", suite, "--n", str(cap))

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from brute_oracles import integral_U_residue
 
 from asmpp import contour
 from asmpp.algebra.poly import MultiPoly
@@ -202,9 +203,9 @@ def against_reference(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernel_matches_reference_on_integral_routes(against_reference, n):
     rational = [Fraction(3, 7), Fraction(-2, 5), Fraction(5, 2)][: n - 1]
-    integral_U(n, "raw")
-    integral_U(n, "after-u1")
-    integral_A(n)
+    integral_U_residue(n, "raw")
+    integral_U_residue(n, "after-u1")
+    integral_I(n, [0] * (n - 1))
     integral_I(n, [a_profile_y1y()] * (n - 1))
     integral_I(n, rational)
     zeilid_check(n, Fraction(2, 3), monomial_symmetric(n, (2, 1)[:n]))
@@ -286,6 +287,33 @@ def test_scaled_interpolating_integrand_has_integer_factors(against_reference, n
     for spec in against_reference:
         for _, factor in spec.factors:
             assert all(type(c) is int for c in factor.terms.values())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cauchy_binet_routes_match_their_residue_oracles(n):
+    assert integral_A(n) == integral_I(n, [0] * (n - 1))
+    if n <= 6:
+        assert integral_U(n, "raw") == integral_U_residue(n, "raw")
+    assert integral_U(n, "after-u1") == integral_U_residue(n, "after-u1")
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_cauchy_binet_routes_above_the_residue_range(n):
+    tilde = genfun_doubly_refined(n, "tilde")
+    assert integral_A(n) == integral_U(n, "raw") == integral_U(n, "after-u1") == tilde
+
+
+def test_cauchy_binet_routes_take_no_residue(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("iterated_residue called")
+
+    monkeypatch.setattr(contour, "iterated_residue", refuse)
+    for n in (1, 2, 5):
+        integral_A(n)
+        integral_U(n, "raw")
+        integral_U(n, "after-u1")
+    with pytest.raises(AssertionError):
+        integral_I(2, [0])
 
 
 def test_integral_routes_at_n6():

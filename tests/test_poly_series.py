@@ -57,6 +57,28 @@ def test_eval_horner_matches_naive():
         assert GenPoly.from_poly(MultiPoly(XY, terms)).evaluate(x0, y0) == naive
 
 
+def _pack(coeffs, n, width):
+    return sum(c << (i + j * n) * width for (i, j), c in coeffs.items())
+
+
+def test_from_packed_reads_balanced_fields():
+    n, width = 3, 5  # fields hold -16..15
+    cases = [
+        {(0, 0): -1},  # the whole int is -1
+        {(0, 0): -16, (1, 0): 15, (2, 0): -3},  # extreme fields, borrows
+        {(1, 0): -7, (0, 1): -1, (2, 1): 4},  # a borrow across a y row
+        {(0, 4): 2, (2, 6): -5},  # fields beyond y**(n-1) are read, not dropped
+        {(2, 0): 15, (0, 1): -16},
+        {},
+    ]
+    rng = Random(3)
+    cases += [{(rng.randrange(n), rng.randrange(5)): rng.randint(-16, 15) for _ in range(6)}
+              for _ in range(50)]
+    for coeffs in cases:
+        want = {key: c for key, c in coeffs.items() if c}
+        assert GenPoly.from_packed(_pack(want, n, width), n, width).coeffs == want
+
+
 def test_poly_exact_division():
     p = (xvar() + yvar()) * (xvar() - yvar()) * (1 + xvar() * yvar())
     q = p.exact_div(xvar() + yvar())

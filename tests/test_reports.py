@@ -9,9 +9,11 @@ and every verify suite at seed 11 in all three formats.  The benchmark's
 own sizes are pinned too: lgv at n = 7, integral-I with the rational --a
 vectors of benchmark seeds 0 and 7 (at n = 5, and extended by one entry at
 n = 6), in all three formats; doubly-refined at n = 6 and 1..6 in json and
-pretty; and the involutions and mrr suites at their cap n = 5 in json.  The
-asm, nilp and doubly-refined digests at n = 6 and 7 were recorded from the
-brute enumeration those routes ran before their DPs.  The enumerate command
+pretty; and the involutions, mrr, zeilid and zprime suites at their cap
+n = 5 in json.  The asm, nilp and doubly-refined digests at n = 6 and 7
+were recorded from the brute enumeration those routes ran before their
+DPs; the zeilid and zprime n = 5 digests from the residue and sum routes
+as they stood when those limits were raised.  The enumerate command
 is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats and at
 the benchmark's sizes (asm and nilp at n = 6) in json; the nilp digests were
 recorded from the occupied-site search that listed bundles before the
@@ -71,7 +73,7 @@ def report_cases():
     for n_range in ("6", "1..6"):
         for fmt in ("json", "pretty"):
             cases.append(("verify", "doubly-refined", "--n", n_range, "--format", fmt))
-    for suite in ("involutions", "mrr"):
+    for suite in ("involutions", "mrr", "zeilid", "zprime"):
         cases.append(("verify", suite, "--n", "5", "--format", "json"))
     for n in range(1, 6):
         for kind in ("asm", "nilp", "tsscpp"):
@@ -643,6 +645,10 @@ DIGESTS = {
         "a412452c6f3370c2fa9881701ad48256dada4664186cc1660b683d5ebb7810e7",
     "verify mrr --n 5 --format json":
         "8c7e6d38fb80e614b86ec6eadce714764bd361e13059b56b1df6dfa2938cdf89",
+    "verify zeilid --n 5 --format json":
+        "a58431755a376b8070322b055ba9dd5c59e63f9ce37a55c7a29f94ab828ac4ec",
+    "verify zprime --n 5 --format json":
+        "1dd51917824d690dcf3903752d71b551aeb933b61db72199293f89ddd34b52e2",
     "enumerate asm --n 1 --format json":
         "5a6f815ada4dbafdd732970c99c202ff6d7178790c71318705c3f55ee882e2a8",
     "enumerate asm --n 1 --format csv":

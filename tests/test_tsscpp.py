@@ -1,8 +1,9 @@
 from collections import Counter
 
 import pytest
-from brute_oracles import membership_heights
+from brute_oracles import axis_symmetry_brute, membership_heights
 
+from asmpp import tsscpp
 from asmpp.asm import asm_count_formula
 from asmpp.nilp import enumerate_nilps, u_statistic
 from asmpp.tsscpp import (
@@ -169,3 +170,45 @@ def test_statistic_multiset_triple():
                 == Counter(u_statistic(p, n) for p, _ in pairs))
         assert (Counter((n - 1) - mrr_u_statistic(a, n + 1) for _, a in pairs)
                 == Counter(u_statistic(p, 0) for p, _ in pairs))
+
+
+def _pair_perturbations(a):
+    """a with a[i][j] and a[j][i] both moved by +-1, for every i <= j."""
+    m = len(a)
+    for i in range(m):
+        for j in range(i, m):
+            for d in (1, -1):
+                b = [list(row) for row in a]
+                b[i][j] += d
+                if i != j:
+                    b[j][i] += d
+                yield b
+
+
+def _failure(check, a):
+    try:
+        check(a)
+    except TsscppError as exc:
+        return str(exc)
+    return None
+
+
+def test_axis_symmetry_matches_the_cell_by_cell_loop(monkeypatch):
+    def by_cells(a):
+        with monkeypatch.context() as patch:
+            patch.setattr(tsscpp, "_check_axis_symmetry", axis_symmetry_brute)
+            return _failure(Tsscpp, a)
+
+    reached = 0
+    for n in range(1, 5):
+        for t in enumerate_tsscpps(n):
+            for a in [t.heights, *_pair_perturbations(t.heights)]:
+                assert _failure(Tsscpp, a) == by_cells(a)
+                m = len(a)
+                # the arrays the check itself sees: rows weakly decreasing in [0, 2n]
+                if all(0 <= v <= m for row in a for v in row) and all(
+                        row[k] >= row[k + 1] for row in a for k in range(m - 1)):
+                    reached += 1
+                    assert (_failure(tsscpp._check_axis_symmetry, a)
+                            == _failure(axis_symmetry_brute, a))
+    assert reached > 1000
