@@ -118,6 +118,8 @@ def _parse_weights(text, n):
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != n:
         raise UsageError(f"--weights needs exactly {n} entries")
+    if "" in tokens:
+        raise UsageError("--weights has an empty entry")
     symbols = []
     for t in tokens:
         if not _is_number(t) and t not in symbols:

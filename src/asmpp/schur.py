@@ -12,6 +12,7 @@ of the contour-integral representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,7 +130,6 @@ def dyck_specializations(n: int):
 
 
 def catalan(n: int) -> int:
-    import math
     return math.factorial(2 * n) // math.factorial(n) // math.factorial(n + 1)
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra.cyclo import CycloScalar
-from .asm import Asm, enumerate_asms
+from .algebra.cyclo import CycloScalar, Q3, ZETA
+from .asm import Asm, _extensions
 
 
 class VertexGrid:
@@ -139,9 +139,8 @@ def weighted_partition_sum(n: int, s, r):
 
     s: the 2n square roots of the spectral parameters (rows then columns),
     r: square root of the global parameter q.  All exact ring elements.
-    It is `zn_normalized` at z = s**2 times `_normalization`, which is
-    exact: every row and column has an odd number of c-vertices, so the
-    c-weights carry each s_i to an odd power.
+    It is `zn_normalized` at z = s**2 times `_normalization`, exactly (see
+    `zn_normalized`).
     """
     if len(s) != 2 * n:
         raise ValueError("need 2n square-root spectral values")
@@ -158,36 +157,35 @@ def normalize_Z(ztilde, n: int, s, r):
 def zn_normalized(n: int, z, r):
     """Normalized partition sum taken directly at spectral parameters z.
 
-    Avoids square roots of the z's: each row and column contains an odd
-    number of c-vertices, so after dividing by prod(sqrt(z_i)) only integer
-    powers of the z's remain.
+    A transfer over the row states of `asm._extensions` (after row i, the
+    columns with partial column sum 1); cell (i, j) holds [j in state] -
+    [j in prev].  With w_j = z[n+j], a +1 weighs 1, a -1 (1/q - q)**2 z_i
+    w_j, and a 0 weighs a = z_i/r - r w_j if the row sum before column j
+    is [j in prev], else b = w_j/r - r z_i.  This is the module's weighting
+    divided by `_normalization`, exactly and with no square root: every row
+    and column holds one more +1 than -1.
     """
     if len(z) != 2 * n:
         raise ValueError("need 2n spectral values")
     rinv = _inv(r)
-    q = r * r
-    qinv = rinv * rinv
-    cfac = qinv - q
-    total = None
-    for a in enumerate_asms(n):
-        types = asm_to_six_vertex(a).types
-        rho = [sum(t[0] == "c" for t in row) for row in types]
-        gamma = [sum(t[0] == "c" for t in column) for column in zip(*types)]
-        weight = cfac ** (sum(rho) - n)
-        for i, row in enumerate(types):
-            for j, t in enumerate(row):
-                if t[0] == "a":
-                    weight = weight * (rinv * z[i] - r * z[n + j])
-                elif t[0] == "b":
-                    weight = weight * (rinv * z[n + j] - r * z[i])
-        for i in range(n):
-            weight = weight * z[i] ** ((rho[i] - 1) // 2)
-        for j in range(n):
-            weight = weight * z[n + j] ** ((gamma[j] - 1) // 2)
-        total = weight if total is None else total + weight
-    if (n * (n - 1) // 2) % 2:
-        total = -total
-    return total
+    c2 = (rinv * rinv - r * r) ** 2
+    layer = {(): r * rinv}  # the ring's unit, so that n = 1 keeps the ring
+    for i in range(n):
+        cells = [(c2 * z[i] * w, rinv * z[i] - r * w, rinv * w - r * z[i]) for w in z[n:]]
+        nxt = {}
+        for prev, weight in layer.items():
+            for state in _extensions(prev, n):
+                x, rowsum = weight, 0
+                for j, (minus, a, b) in enumerate(cells):
+                    was = j in prev
+                    entry = (j in state) - was
+                    if entry <= 0:
+                        x = x * (minus if entry else a if rowsum == was else b)
+                    rowsum += entry
+                nxt[state] = nxt[state] + x if state in nxt else x
+        layer = nxt
+    total = layer[tuple(range(n))]
+    return -total if (n * (n - 1) // 2) % 2 else total
 
 
 def refined_from_Z(n: int, t, u, convention: str = "reversed"):
@@ -198,8 +196,6 @@ def refined_from_Z(n: int, t, u, convention: str = "reversed"):
     parameter to (1+q u)/(q+u) ("reversed") or its reciprocal form
     ("tilde"), with the matching prefactor.
     """
-    from .algebra.cyclo import Q3, ZETA
-
     q = Q3
     t = Fraction(t)
     u = Fraction(u)

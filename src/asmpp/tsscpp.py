@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .nilp import Nilp, VERT, DIAG
+from .nilp import Nilp, VERT, DIAG, enumerate_nilps
 
 
 class TsscppError(ValueError):
@@ -194,7 +194,6 @@ def nilp_to_tsscpp(p: Nilp) -> Tsscpp:
 
 def enumerate_tsscpps(n: int):
     """TSSCPPs in deterministic order, via the inverse bijection."""
-    from .nilp import enumerate_nilps
     for p in enumerate_nilps(n):
         yield nilp_to_tsscpp(p)
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from random import Random
 
 from . import antisym, contour, sixvertex
+from .algebra.cyclo import ZETA
 from .asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
 from .checks import check, witness_check
 from .lgv import lgv_genfun_xy
@@ -250,7 +251,6 @@ def suite_zprime(n, seed, samples):
 
 
 def suite_sixv_schur(n, seed, samples):
-    from .algebra.cyclo import ZETA
     samples = 10 if samples is None else samples
     rng = _rng(seed, "six-vertex", n)
     checks = []
@@ -269,7 +269,7 @@ SUITES = {
     "doubly-refined": (suite_doubly_refined, (1, 5), 9),
     "dyck": (suite_dyck, (1, 4), 6),
     "wheel": (suite_wheel, (2, 3), 5),
-    "recursion": (suite_recursion, (2, 3), 4),
+    "recursion": (suite_recursion, (2, 3), 7),
     "zeilid": (suite_zeilid, (1, 4), 5),
     "a-independence": (suite_a_independence, (1, 4), 6),
     "appendix-d": (suite_appendix_d, (1, 3), 4),
@@ -281,7 +281,7 @@ SUITES = {
     "involutions": (suite_involutions, (1, 4), 5),
     "mrr": (suite_mrr, (1, 4), 5),
     "zprime": (suite_zprime, (1, 3), 5),
-    "six-vertex": (suite_sixv_schur, (1, 3), 4),
+    "six-vertex": (suite_sixv_schur, (1, 3), 6),
 }
 
 

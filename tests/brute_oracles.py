@@ -8,8 +8,8 @@ these sums are what those DPs are checked against wherever listing is
 affordable (n <= 6).  Each size is listed once per test session: the
 statistics of every object are tallied and cached, and each polynomial is
 read off the tally.  The six-vertex sum applies the vertex weights at the
-square roots s of the spectral parameters; the library's one weight loop
-(`sixvertex.zn_normalized`) works at z = s**2 instead.  The height array
+square roots s of the spectral parameters; the library's row-state
+transfer (`sixvertex.zn_normalized`) works at z = s**2 instead.  The height array
 is counted cell by cell from the membership rule, which
 `tsscpp.from_triangle` works out block by block, and checked against the
 axis-permutation symmetry with the triple loop `Tsscpp.validate` replaces by

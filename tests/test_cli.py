@@ -115,11 +115,12 @@ def test_verify_unknown_suite_or_bad_range():
     (("verify", "dyck", "--n", "7"), 6),
     (("verify", "wheel", "--n", "6"), 5),
     (("verify", "zprime", "--n", "6"), 5),
-    (("verify", "six-vertex", "--n", "5"), 4),
+    (("verify", "six-vertex", "--n", "7"), 6),
     (("verify", "bijections", "--n", "6"), 5),
     (("verify", "involutions", "--n", "6"), 5),
     (("verify", "mrr", "--n", "6"), 5),
     (("verify", "zeilid", "--n", "6"), 5),
+    (("verify", "recursion", "--n", "8"), 7),
 ])
 def test_counting_route_caps(argv, cap, capsys):
     assert main(list(argv)) == 2
@@ -127,7 +128,7 @@ def test_counting_route_caps(argv, cap, capsys):
 
 
 @pytest.mark.parametrize("suite, cap, total", [
-    ("dyck", 6, 132), ("wheel", 5, 20), ("zprime", 5, 20), ("six-vertex", 4, 10),
+    ("dyck", 6, 132), ("wheel", 5, 20), ("zprime", 5, 20), ("six-vertex", 6, 10),
 ])
 def test_q3_suites_pass_at_their_cap(suite, cap, total):
     code, out = run_cli("verify", suite, "--n", str(cap))
@@ -186,6 +187,9 @@ def test_every_spec_suite_exists():
     ("verify", "wheel", "--n", "1..1"),
     ("genfun", "lgv", "--n", "3", "--weights", "1/3,1/3,1"),
     ("genfun", "lgv", "--n", "3", "--weights", "t,1/0,1"),
+    ("genfun", "lgv", "--n", "3", "--weights", "t,,1"),
+    ("genfun", "lgv", "--n", "3", "--weights", "t, ,1"),
+    ("genfun", "lgv", "--n", "3", "--weights", " , ,1"),
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     code, out = run_cli(*argv)

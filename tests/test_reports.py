@@ -9,11 +9,14 @@ and every verify suite at seed 11 in all three formats.  The benchmark's
 own sizes are pinned too: lgv at n = 7, integral-I with the rational --a
 vectors of benchmark seeds 0 and 7 (at n = 5, and extended by one entry at
 n = 6), in all three formats; doubly-refined at n = 6 and 1..6 in json and
-pretty; and the involutions, mrr, zeilid and zprime suites at their cap
-n = 5 in json.  The asm, nilp and doubly-refined digests at n = 6 and 7
+pretty; the involutions, mrr, zeilid and zprime suites at their cap
+n = 5 in json; and the six-vertex and recursion suites at n = 5 and 6 in
+json.  The asm, nilp and doubly-refined digests at n = 6 and 7
 were recorded from the brute enumeration those routes ran before their
 DPs; the zeilid and zprime n = 5 digests from the residue and sum routes
-as they stood when those limits were raised.  The enumerate command
+as they stood when those limits were raised; the six-vertex and recursion
+digests at n = 5 and 6 from the partition sum over every listed ASM that
+the row-state transfer replaced.  The enumerate command
 is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats and at
 the benchmark's sizes (asm and nilp at n = 6) in json; the nilp digests were
 recorded from the occupied-site search that listed bundles before the
@@ -75,6 +78,9 @@ def report_cases():
             cases.append(("verify", "doubly-refined", "--n", n_range, "--format", fmt))
     for suite in ("involutions", "mrr", "zeilid", "zprime"):
         cases.append(("verify", suite, "--n", "5", "--format", "json"))
+    for suite in ("six-vertex", "recursion"):
+        for n in ("5", "6"):
+            cases.append(("verify", suite, "--n", n, "--format", "json"))
     for n in range(1, 6):
         for kind in ("asm", "nilp", "tsscpp"):
             for fmt in ("json", "csv", "pretty"):
@@ -649,6 +655,14 @@ DIGESTS = {
         "a58431755a376b8070322b055ba9dd5c59e63f9ce37a55c7a29f94ab828ac4ec",
     "verify zprime --n 5 --format json":
         "1dd51917824d690dcf3903752d71b551aeb933b61db72199293f89ddd34b52e2",
+    "verify six-vertex --n 5 --format json":
+        "29499d98df011c278c06ea0989811bd692fa0d5855f7270a2e74c9d79633ec1a",
+    "verify six-vertex --n 6 --format json":
+        "49d6df98b16700a27f619d32a4a2b1b8b9b01dfb2789aa88fa8fcb3642d22855",
+    "verify recursion --n 5 --format json":
+        "c97511ed9dc88227abb5f8b43b5effc564d689ccb33510394a187da1053f1ee7",
+    "verify recursion --n 6 --format json":
+        "7664767c57868d0ad21aa09fe388581edc3bd22a7d68c5c3b28aca34208ea976",
     "enumerate asm --n 1 --format json":
         "5a6f815ada4dbafdd732970c99c202ff6d7178790c71318705c3f55ee882e2a8",
     "enumerate asm --n 1 --format csv":

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from brute_oracles import brute_weighted_partition_sum
 
+from asmpp import asm, sixvertex
 from asmpp.algebra.cyclo import CycloScalar, ZETA
 from asmpp.asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
 from asmpp.schur import schur_staircase
@@ -89,6 +90,68 @@ def test_normalization_consistency():
         assert zn_normalized(n, [v * v for v in s], r) == normalize_Z(brute, n, s, r)
 
 
+def brute_zn(n, s, r):
+    return normalize_Z(brute_weighted_partition_sum(n, s, r), n, s, r)
+
+
+def brute_zn_at_zero(n, s, r, k):
+    """brute_zn with s[k] = 0, where normalize_Z cannot divide: the
+    normalized sum has degree n - 1 in z_k, so it is interpolated at 0 from
+    the n points s[k] = 1..n."""
+    total = 0
+    for m in range(1, n + 1):
+        basis = Fraction(1)
+        for l in range(1, n + 1):
+            if l != m:
+                basis *= Fraction(l * l, l * l - m * m)
+        total = total + basis * brute_zn(n, s[:k] + [Fraction(m)] + s[k + 1:], r)
+    return total
+
+
+def test_transfer_matches_brute_oracle():
+    rng = Random(15)
+    for n in range(1, 6):
+        for r in (Fraction(rng.randint(2, 9), rng.randint(1, 9)), ZETA):
+            if r == 1:
+                r = Fraction(3, 2)  # q = 1 zeroes the normalization
+            s = [rat(rng, True) for _ in range(2 * n)]
+            cases = [s]
+            if n >= 2:
+                cases.append([s[0]] + s[:n - 1] + s[n:])  # z_0 = z_1
+                cases.append(s[:n + 1] + [s[n]] + s[n + 2:])  # w_0 = w_1
+            for v in cases:
+                assert zn_normalized(n, [x * x for x in v], r) == brute_zn(n, v, r)
+            k = rng.randrange(2 * n)
+            zeroed = [x * x for x in s]
+            zeroed[k] = Fraction(0)
+            assert zn_normalized(n, zeroed, r) == brute_zn_at_zero(n, s, r, k)
+
+
+def test_n1_keeps_the_ring():
+    z = [Fraction(2, 3), Fraction(-5, 7)]
+    got = zn_normalized(1, z, Fraction(3, 2))
+    assert type(got) is Fraction and got == 1
+    got = zn_normalized(1, [CycloScalar.coerce(v) for v in z], ZETA)
+    assert type(got) is CycloScalar and got == 1
+
+
+def test_partition_sum_lists_no_asm(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the partition sum built an ASM or a vertex grid")
+
+    rng = Random(16)
+    s = [rat(rng, True) for _ in range(8)]
+    r = Fraction(5, 3)
+    want = brute_weighted_partition_sum(4, s, r)
+    assert not hasattr(sixvertex, "enumerate_asms")
+    monkeypatch.setattr(asm, "enumerate_asms", boom)
+    for name in ("asm_to_six_vertex", "Asm", "VertexGrid"):
+        monkeypatch.setattr(sixvertex, name, boom)
+    assert weighted_partition_sum(4, s, r) == want
+    assert zn_normalized(4, [v * v for v in s], r) == normalize_Z(want, 4, s, r)
+    assert refined_from_Z(4, 1, 1) == 42
+
+
 def test_block_symmetry_generic_q():
     rng = Random(10)
     n = 3
@@ -155,7 +218,7 @@ def test_refined_from_Z_examples():
 
 def test_refined_from_Z_matches_brute_force():
     rng = Random(14)
-    for n in (1, 2, 3):
+    for n in range(1, 8):
         tilde = genfun_doubly_refined(n, "tilde")
         rev = genfun_doubly_refined(n, "reversed")
         for _ in range(4):
