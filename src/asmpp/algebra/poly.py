@@ -15,10 +15,6 @@ from fractions import Fraction
 from .cyclo import CycloScalar
 
 
-def _is_zero(c) -> bool:
-    return not c
-
-
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
@@ -30,7 +26,7 @@ class MultiPoly:
             for exps, coeff in terms.items():
                 if len(exps) != nv:
                     raise ValueError(f"exponent tuple {exps} does not match variables {self.vars}")
-                if not _is_zero(coeff):
+                if coeff:
                     cleaned[tuple(exps)] = coeff
         object.__setattr__(self, "terms", cleaned)
 
@@ -42,7 +38,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables, value) -> "MultiPoly":
         variables = tuple(variables)
-        if _is_zero(value):
+        if not value:
             return cls(variables)
         return cls(variables, {(0,) * len(variables): value})
 
@@ -87,7 +83,7 @@ class MultiPoly:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = terms.get(exps, 0) + coeff
-            if _is_zero(acc):
+            if not acc:
                 terms.pop(exps, None)
             else:
                 terms[exps] = acc
@@ -116,7 +112,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 acc = terms.get(exps, 0) + c1 * c2
-                if _is_zero(acc):
+                if not acc:
                     terms.pop(exps, None)
                 else:
                     terms[exps] = acc
@@ -158,11 +154,6 @@ class MultiPoly:
             return -1
         return max(e[idx] for e in self.terms)
 
-    def leading_term(self):
-        """(exponent, coefficient) maximal in lexicographic order."""
-        exps = max(self.terms)
-        return exps, self.terms[exps]
-
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ValueError if not divisible."""
         divisor = self._coerce(divisor)
@@ -170,7 +161,8 @@ class MultiPoly:
             raise ZeroDivisionError("polynomial division by zero")
         remainder = dict(self.terms)
         quotient = {}
-        d_exps, d_coeff = divisor.leading_term()
+        d_exps = max(divisor.terms)  # the lexicographically leading term
+        d_coeff = divisor.terms[d_exps]
         while remainder:
             r_exps = max(remainder)
             r_coeff = remainder[r_exps]
@@ -182,7 +174,7 @@ class MultiPoly:
             for e2, c2 in divisor.terms.items():
                 exps = tuple(a + b for a, b in zip(q_exps, e2))
                 acc = remainder.get(exps, 0) - q_coeff * c2
-                if _is_zero(acc):
+                if not acc:
                     remainder.pop(exps, None)
                 else:
                     remainder[exps] = acc

@@ -82,21 +82,15 @@ def asm_count_formula(n: int) -> int:
 
 def _extensions(state, n):
     """All strictly increasing (k+1)-tuples T interlacing the k-tuple state:
-    T[0] <= state[0] <= T[1] <= ... <= state[k-1] <= T[k], values in [0, n)."""
-    k = len(state)
-    results = []
-
-    def rec(pos, lo, acc):
-        if pos == k:
-            for v in range(lo, n):
-                results.append(acc + (v,))
-            return
-        hi = state[pos]
-        for v in range(lo, hi + 1):
-            rec(pos + 1, max(hi, v + 1), acc + (v,))
-
-    rec(0, 0, ())
-    return results
+    T[0] <= state[0] <= T[1] <= ... <= state[k-1] <= T[k], values in [0, n),
+    lexicographically.  T[i] runs over [max(state[i-1], T[i-1] + 1), state[i]]
+    with state[-1] = 0 and state[k] = n - 1; as T[i-1] <= state[i-1], that
+    lower end is state[i-1] + (T[i-1] == state[i-1])."""
+    tuples = [()]
+    for lo, hi in zip((0,) + state, state + (n - 1,)):
+        tuples = [t + (v,) for t in tuples
+                  for v in range(lo + (t[-1] == lo) if t else lo, hi + 1)]
+    return tuples
 
 
 def enumerate_asms(n: int):

@@ -120,33 +120,27 @@ def _parse_weights(text, n):
         raise UsageError(f"--weights needs exactly {n} entries")
     if "" in tokens:
         raise UsageError("--weights has an empty entry")
-    symbols = []
-    for t in tokens:
-        if not _is_number(t) and t not in symbols:
-            symbols.append(t)
+    values = [_number(t) for t in tokens]
+    symbols = list(dict.fromkeys(t for t, v in zip(tokens, values) if v is None))
     if len(symbols) > 2:
         raise UsageError("at most two distinct symbolic weights are supported")
-    axis = {s: v for s, v in zip(symbols, ("x", "y"))}
-    weights = []
-    for t in tokens:
-        if _is_number(t):
-            value = Fraction(t)  # an integer weight stays an int: faster products
-            if value.denominator == 1:
-                value = value.numerator
-            weights.append(MultiPoly.constant(("x", "y"), value))
-        else:
-            weights.append(MultiPoly.variable(("x", "y"), axis[t]))
+    axis = dict(zip(symbols, ("x", "y")))
+    weights = [MultiPoly.variable(("x", "y"), axis[t]) if v is None
+               else MultiPoly.constant(("x", "y"), v)
+               for t, v in zip(tokens, values)]
     return weights, symbols
 
 
-def _is_number(token):
+def _number(token):
+    """The rational value of a weight token, or None if it is a symbol; an
+    integer weight stays an int: faster products."""
     try:
-        Fraction(token)
-        return True
+        value = Fraction(token)
     except ValueError:
-        return False
+        return None
     except ZeroDivisionError:
         raise UsageError(f"weight {token!r} divides by zero")
+    return value.numerator if value.denominator == 1 else value
 
 
 def cmd_genfun(args):

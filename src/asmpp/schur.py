@@ -12,6 +12,7 @@ of the contour-integral representation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,11 @@ def staircase_shape(n: int):
     for k in range(n - 1, 0, -1):
         shape += [k, k]
     return tuple(shape)
+
+
+def staircase_sign(n: int) -> int:
+    """(-1)**(n(n-1)/2), the sign that normalizes the partition function."""
+    return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
 def _lift_points(points):
@@ -107,26 +113,14 @@ class DyckSpec:
 
 def dyck_specializations(n: int):
     """All Catalan-many ballot vectors of length 2n, lexicographically
-    (-1 before +1)."""
-    results = []
-
-    def rec(acc, total, remaining):
-        if remaining == 0:
-            if total == 0:
-                results.append(DyckSpec(tuple(acc)))
-            return
-        # prefix sums <= 0 and enough +1s must remain to get back to 0
-        if total - 1 + remaining >= 0:
-            acc.append(-1)
-            rec(acc, total - 1, remaining - 1)
-            acc.pop()
-        if total + 1 <= 0:
-            acc.append(1)
-            rec(acc, total + 1, remaining - 1)
-            acc.pop()
-
-    rec([], 0, 2 * n)
-    return results
+    (-1 before +1): the sign vectors that validate as `DyckSpec`."""
+    specs = []
+    for eps in itertools.product((-1, 1), repeat=2 * n):
+        try:
+            specs.append(DyckSpec(eps))
+        except ValueError:
+            pass
+    return specs
 
 
 def catalan(n: int) -> int:
@@ -230,9 +224,7 @@ def zprime_residue_sum(n: int, z):
                 if i not in kset or i > kl:
                     denom = denom * (z[kl - 1] - z[i - 1])
         total = total + term / denom
-    if (n * (n - 1) // 2) % 2:
-        total = -total
-    return total
+    return total * staircase_sign(n)
 
 
 def _index_sequences(n: int):

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .algebra.cyclo import CycloScalar, Q3, ZETA
 from .asm import Asm, _extensions
+from .schur import staircase_sign
 
 
 class VertexGrid:
@@ -130,7 +131,7 @@ def _normalization(n: int, s, r):
     factor = (rinv * rinv - r * r) ** n
     for si in s:
         factor = factor * si
-    return -factor if (n * (n - 1) // 2) % 2 else factor
+    return factor * staircase_sign(n)
 
 
 def weighted_partition_sum(n: int, s, r):
@@ -184,8 +185,7 @@ def zn_normalized(n: int, z, r):
                     rowsum += entry
                 nxt[state] = nxt[state] + x if state in nxt else x
         layer = nxt
-    total = layer[tuple(range(n))]
-    return -total if (n * (n - 1) // 2) % 2 else total
+    return layer[tuple(range(n))] * staircase_sign(n)
 
 
 def refined_from_Z(n: int, t, u, convention: str = "reversed"):

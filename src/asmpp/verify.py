@@ -58,13 +58,11 @@ def suite_dyck(n, seed, samples):
 
 
 def suite_wheel(n, seed, samples):
-    samples = 20 if samples is None else samples
     return wheel_check(lambda pts: schur_staircase(n, pts), n, samples,
                        _rng(seed, "wheel", n))
 
 
 def suite_recursion(n, seed, samples):
-    samples = 5 if samples is None else samples
     checks = recursion_check_q3(n, samples, _rng(seed, "recursion", n))
     rng = _rng(seed, "recursion-generic", n)
     for _ in range(samples):
@@ -118,7 +116,6 @@ def suite_a_independence(n, seed, samples):
 
 
 def suite_appendix_d(n, seed, samples):
-    samples = 10 if samples is None else samples
     rng = _rng(seed, "appendix-d", n)
     checks = []
     done = 0
@@ -238,7 +235,6 @@ def suite_mrr(n, seed, samples):
 
 
 def suite_zprime(n, seed, samples):
-    samples = 20 if samples is None else samples
     rng = _rng(seed, "zprime", n)
     checks = []
     for _ in range(samples):
@@ -251,7 +247,6 @@ def suite_zprime(n, seed, samples):
 
 
 def suite_sixv_schur(n, seed, samples):
-    samples = 10 if samples is None else samples
     rng = _rng(seed, "six-vertex", n)
     checks = []
     for _ in range(samples):
@@ -265,23 +260,24 @@ def suite_sixv_schur(n, seed, samples):
     return checks
 
 
+# suite: (function, default n range, n limit, default sample count)
 SUITES = {
-    "doubly-refined": (suite_doubly_refined, (1, 5), 9),
-    "dyck": (suite_dyck, (1, 4), 6),
-    "wheel": (suite_wheel, (2, 3), 5),
-    "recursion": (suite_recursion, (2, 3), 7),
-    "zeilid": (suite_zeilid, (1, 4), 5),
-    "a-independence": (suite_a_independence, (1, 4), 6),
-    "appendix-d": (suite_appendix_d, (1, 3), 4),
+    "doubly-refined": (suite_doubly_refined, (1, 5), 9, None),
+    "dyck": (suite_dyck, (1, 4), 6, None),
+    "wheel": (suite_wheel, (2, 3), 5, 20),
+    "recursion": (suite_recursion, (2, 3), 7, 5),
+    "zeilid": (suite_zeilid, (1, 4), 5, None),
+    "a-independence": (suite_a_independence, (1, 4), 6, None),
+    "appendix-d": (suite_appendix_d, (1, 3), 4, 10),
     # n = 5 is the last n where the suite's bound 2n + 2 reaches the lowest
     # degree n(n-1)/2 of prod (u_j - u_i); from n = 6 on both sides have 0
     # terms and the check passes vacuously.
-    "even-partitions": (suite_even_partitions, (1, 3), 5),
-    "bijections": (suite_bijections, (1, 4), 5),
-    "involutions": (suite_involutions, (1, 4), 5),
-    "mrr": (suite_mrr, (1, 4), 5),
-    "zprime": (suite_zprime, (1, 3), 5),
-    "six-vertex": (suite_sixv_schur, (1, 3), 6),
+    "even-partitions": (suite_even_partitions, (1, 3), 5, None),
+    "bijections": (suite_bijections, (1, 4), 5, None),
+    "involutions": (suite_involutions, (1, 4), 5, None),
+    "mrr": (suite_mrr, (1, 4), 5, None),
+    "zprime": (suite_zprime, (1, 3), 5, 20),
+    "six-vertex": (suite_sixv_schur, (1, 3), 6, 10),
 }
 
 
@@ -295,7 +291,7 @@ def run_verify(suite, n_range=None, seed=0, samples=None, workers=1):
     """Run one suite over an n-range; returns the versioned report dict."""
     if suite not in SUITES:
         raise KeyError(suite)
-    fn, default_range, limit = SUITES[suite]
+    _, default_range, limit, default_samples = SUITES[suite]
     lo, hi = n_range if n_range else default_range
     if hi > limit:
         raise ValueError(f"suite {suite} is limited to n <= {limit}")
@@ -307,7 +303,10 @@ def run_verify(suite, n_range=None, seed=0, samples=None, workers=1):
     lo = max(lo, default_range[0])  # suites with n >= 2 preconditions
     if samples is not None and samples < 0:
         raise ValueError("samples must be >= 0")
-    tasks = [(suite, n, seed, samples) for n in range(lo, hi + 1)]
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    tasks = [(suite, n, seed, default_samples if samples is None else samples)
+             for n in range(lo, hi + 1)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_task, tasks))

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from brute_oracles import brute_doubly_refined
 
 from asmpp.asm import (
     Asm,
     RefinedStat,
+    _extensions,
     asm_count_formula,
     enumerate_asms,
     genfun_doubly_refined,
@@ -26,6 +29,22 @@ def test_counts_match_product_formula():
     assert [asm_count_formula(n) for n in range(1, 7)] == [1, 2, 7, 42, 429, 7436]
     for n in range(1, 7):
         assert sum(1 for _ in enumerate_asms(n)) == asm_count_formula(n)
+
+
+def test_extensions_are_the_interlacing_tuples():
+    """Every reachable row state, () included: the extensions are the
+    (k+1)-subsets of range(n) interlacing the state, in lexicographic order."""
+    for n in range(1, 7):
+        layer = {()}
+        for k in range(n):
+            nxt = set()
+            for state in sorted(layer):
+                brute = [t for t in itertools.combinations(range(n), k + 1)
+                         if all(t[i] <= state[i] <= t[i + 1] for i in range(k))]
+                assert _extensions(state, n) == brute, (n, state)
+                nxt.update(brute)
+            layer = nxt
+        assert layer == {tuple(range(n))}
 
 
 def test_size3_set():

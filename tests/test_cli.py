@@ -184,6 +184,8 @@ def test_every_spec_suite_exists():
     ("genfun", "integral-I", "--n", "3", "--a", "1/0,2"),
     ("genfun", "asm-tilde", "--n", "3", "--out", "/nonexistent/f"),
     ("verify", "dyck", "--n", "1..2", "--samples", "-1"),
+    ("verify", "dyck", "--n", "1..2", "--workers", "0"),
+    ("verify", "dyck", "--n", "1..2", "--workers", "-3"),
     ("verify", "wheel", "--n", "1..1"),
     ("genfun", "lgv", "--n", "3", "--weights", "1/3,1/3,1"),
     ("genfun", "lgv", "--n", "3", "--weights", "t,1/0,1"),

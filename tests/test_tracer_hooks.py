@@ -1,9 +1,10 @@
 """Every hook of the benchmark tracer still names a function of asmpp.
 
 ``perfbench/tracer.py`` patches the names in its ``HOOKS`` list with
-``getattr`` when tracing is on, so deleting or renaming one of them breaks
-``perfbench/run.py --trace 1`` without failing any other test.  This test only
-reads the hook list; it installs nothing.
+``getattr`` when tracing is on, and swaps ``asmpp.verify.ProcessPoolExecutor``
+for a counting pool, so deleting or renaming one of them breaks
+``perfbench/run.py --trace 1`` without failing any other test.  These tests
+only read the hook list; they install nothing.
 """
 
 import importlib
@@ -22,3 +23,8 @@ def test_tracer_hook_resolves(hook):
     for part in hook.attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_tracer_pool_binding_resolves():
+    verify = importlib.import_module("asmpp.verify")
+    assert isinstance(verify.ProcessPoolExecutor, type)
