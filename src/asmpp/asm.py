@@ -5,6 +5,9 @@ monotone triangles): after the first i rows of an ASM, each column sum is 0
 or 1 and exactly i columns carry a 1.  Successive column sets interlace, and
 each interlacing chain corresponds to exactly one ASM.  `enumerate_asms`
 lists the matrices ordered lexicographically by the chain of row states.
+Per call it builds two tables as the walk first reaches them: the
+extensions of each state, and the row between each state and each of its
+extensions.  An ASM is then the tuple of the cached rows along its chain.
 
 `genfun_doubly_refined` counts the same chains without listing them: a
 transfer-matrix DP over the row states, keeping per state the counts by
@@ -28,13 +31,15 @@ class Asm:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries, validate=True):
-        entries = tuple(tuple(row) for row in entries)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("entries must form a square matrix")
-        self.n = n
+        """With validate=False, entries must already be a tuple of the row
+        tuples of an ASM; it is kept as given."""
+        if validate:
+            entries = tuple(tuple(row) for row in entries)
+        self.n = n = len(entries)
         self.entries = entries
         if validate:
+            if any(len(row) != n for row in entries):
+                raise ValueError("entries must form a square matrix")
             self.validate()
 
     def validate(self):
@@ -100,31 +105,25 @@ def enumerate_asms(n: int):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield Asm(())
-        return
+    extensions = {}  # state -> _extensions(state, n)
+    rows = {}  # (state, next state) -> the row between them
 
-    def rec(chain):
-        if len(chain) == n:
-            yield _chain_to_asm(chain, n)
+    def extend(state):
+        nexts = extensions.get(state)
+        if nexts is None:
+            nexts = extensions[state] = _extensions(state, n)
+            for nxt in nexts:  # the row that takes state to nxt
+                rows[state, nxt] = tuple((v in nxt) - (v in state) for v in range(n))
+        return nexts
+
+    def rec(state, prefix):
+        if len(state) == n:
+            yield Asm(prefix, validate=False)
             return
-        for nxt in _extensions(chain[-1], n):
-            yield from rec(chain + [nxt])
+        for nxt in extend(state):
+            yield from rec(nxt, prefix + (rows[state, nxt],))
 
-    for first in range(n):
-        yield from rec([(first,)])
-
-
-def _chain_to_asm(chain, n):
-    rows = []
-    prev = [0] * n
-    for state in chain:
-        cur = [0] * n
-        for c in state:
-            cur[c] = 1
-        rows.append([cur[c] - prev[c] for c in range(n)])
-        prev = cur
-    return Asm(rows, validate=False)
+    yield from rec((), ())
 
 
 def refined_stat(a: Asm) -> RefinedStat:

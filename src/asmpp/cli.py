@@ -59,8 +59,43 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
 def _json_dumps(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(payload, sort_keys=True, indent=2)` and a newline, byte for
+    byte.  With `indent` set, json.dumps runs its pure-Python encoder once
+    per container and int; here the containers are laid out by hand and
+    every string and scalar goes to json's C encoder."""
+    return _layout(payload, "\n") + "\n"
+
+
+def _layout(obj, pad):
+    """The indented JSON text of obj, each line break followed by pad."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if all(type(v) is int for v in obj):  # not bool: int.__repr__(True) is "1"
+            items = map(int.__repr__, obj)
+        else:
+            items = [_layout(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(type(k) is str for k in obj):
+            # json's own key coercion and errors; a JSON string holds no raw
+            # newline, so every "\n" is a line break
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _layout(obj[k], inner) for k in sorted(obj)]
+        ) + pad + "}"
+    return _encode_scalar(obj)
 
 
 def _csv_text(header, rows):

@@ -1,5 +1,6 @@
-"""Brute-force oracles for the doubly refined polynomials, the six-vertex
-partition sum, the TSSCPP height array and the lattice-path integral.
+"""Brute-force oracles for the ASM enumeration order, the doubly refined
+polynomials, the six-vertex partition sum, the TSSCPP height array and the
+lattice-path integral.
 
 Each is a sum over listed objects: every ASM from `enumerate_asms`, every
 bundle from `enumerate_nilps`.  The library computes the same polynomials
@@ -22,11 +23,45 @@ from fractions import Fraction
 from functools import lru_cache
 
 from asmpp import contour
-from asmpp.asm import enumerate_asms, refined_stat
+from asmpp.asm import _extensions, enumerate_asms, refined_stat
 from asmpp.genpoly import GenPoly
 from asmpp.nilp import enumerate_nilps, u_statistic
 from asmpp.sixvertex import asm_to_six_vertex
 from asmpp.tsscpp import TsscppError
+
+
+def chain_asms(n):
+    """Every size-n ASM as a tuple of row tuples, by the chain recursion
+    `enumerate_asms` replaces with per-call tables: each chain of row states
+    is extended by recomputing `_extensions` of its last state, and its rows
+    are the differences of successive 0/1 column indicators.  This is the
+    order oracle of `enumerate_asms`."""
+    if n == 0:
+        return [()]
+    out = []
+
+    def rec(chain):
+        if len(chain) == n:
+            out.append(_chain_to_asm(chain, n))
+            return
+        for nxt in _extensions(chain[-1], n):
+            rec(chain + [nxt])
+
+    for first in range(n):
+        rec([(first,)])
+    return out
+
+
+def _chain_to_asm(chain, n):
+    rows = []
+    prev = [0] * n
+    for state in chain:
+        cur = [0] * n
+        for c in state:
+            cur[c] = 1
+        rows.append(tuple(cur[c] - prev[c] for c in range(n)))
+        prev = cur
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from brute_oracles import brute_doubly_refined
+from brute_oracles import brute_doubly_refined, chain_asms
 
 from asmpp.asm import (
     Asm,
@@ -45,6 +45,11 @@ def test_extensions_are_the_interlacing_tuples():
                 nxt.update(brute)
             layer = nxt
         assert layer == {tuple(range(n))}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumeration_order_matches_the_chain_recursion(n):
+    assert [a.entries for a in enumerate_asms(n)] == chain_asms(n)
 
 
 def test_size3_set():

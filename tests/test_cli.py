@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from asmpp import verify
 from asmpp.asm import enumerate_asms
-from asmpp.cli import main
+from asmpp.cli import _json_dumps, main
 from asmpp.nilp import enumerate_nilps
 from asmpp.tsscpp import nilp_to_tsscpp
 
@@ -282,6 +282,9 @@ def test_bijection_failure_names_the_first_broken_asm(monkeypatch, picks):
     failed = _failed_checks(("verify", "bijections", "--n", "3"))
     assert list(failed) == ["asm-vertex-roundtrip"]
     assert failed["asm-vertex-roundtrip"]["witness"] == asms[picks[0]].to_rows()
+    reports = _recorded_reports(monkeypatch)
+    code, out = run_cli("verify", "bijections", "--n", "3")
+    assert code == 1 and out == _reference(reports[-1])
     code, out = run_cli("verify", "bijections", "--n", "3", "--format", "pretty")
     assert code == 1
     lines = out.splitlines()
@@ -349,3 +352,87 @@ def test_mrr_witness_belongs_to_the_failing_check(monkeypatch):
     assert checks["array-formula-agreement"]["witness"] == arrays[2].to_rows()
     assert checks["array-vs-path-statistics"]["pass"]
     assert "witness" not in checks["array-vs-path-statistics"]
+
+
+# -- JSON reports: byte-equal to json.dumps, never its Python encoder ---------
+
+def _reference(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _outcome(dump, payload):
+    try:
+        return dump(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+JSON_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "é", "\u2028", "\ud800", "😀", ""])
+JSON_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+JSON_SCALARS = st.none() | st.booleans() | JSON_INTS | JSON_TEXT
+
+
+def _json_values(keys, leaves):
+    return st.recursive(
+        leaves | st.lists(JSON_INTS | st.booleans()),
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(keys, inner, max_size=4)),
+        max_leaves=30)
+
+
+def _deep(values):
+    """A value nested five containers deep, at least."""
+    return st.builds(lambda v, k: {k: [({k: [[v]]},)]}, values, JSON_TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values(JSON_TEXT, JSON_SCALARS) | _deep(_json_values(JSON_TEXT, JSON_SCALARS)))
+def test_json_writer_is_byte_equal_to_json_dumps(payload):
+    assert _json_dumps(payload) == _reference(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values(JSON_TEXT | JSON_INTS | st.booleans() | st.none(),
+                    JSON_SCALARS | st.fractions() | st.just(frozenset())))
+def test_json_writer_coerces_keys_and_refuses_values_as_json_dumps(payload):
+    """Non-str keys are coerced, and mixed keys or unknown values raise, as
+    json.dumps does them."""
+    assert _outcome(_json_dumps, payload) == _outcome(_reference, payload)
+
+
+def test_json_writer_keeps_bools_out_of_int_lists():
+    assert _json_dumps([1, True]) == "[\n  1,\n  true\n]\n"
+
+
+def _recorded_reports(monkeypatch):
+    """Every report cli.main prints from here on, as run_verify returned it."""
+    from asmpp import cli
+    reports = []
+
+    def record(*args, **kwargs):
+        reports.append(verify.run_verify(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(cli, "run_verify", record)
+    return reports
+
+
+def test_no_json_report_reaches_the_python_encoder(monkeypatch):
+    """json.dumps with an indent runs json.encoder._make_iterencode, the
+    pure-Python encoder; no report, passing or failing, may need it."""
+    from asmpp import sixvertex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was used")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    for argv in ("enumerate asm --n 3", "enumerate nilp --n 3", "enumerate tsscpp --n 3",
+                 "genfun asm-tilde --n 4", "verify doubly-refined --n 1..3"):
+        code, out = run_cli(*argv.split())
+        assert code == 0 and json.loads(out), argv
+    asm = list(enumerate_asms(3))[5]
+    _break(monkeypatch, sixvertex, "six_vertex_to_asm", [sixvertex.asm_to_six_vertex(asm)])
+    code, out = run_cli("verify", "bijections", "--n", "3")
+    assert code == 1
+    assert [c["witness"] for c in json.loads(out)["checks"] if not c["pass"]] == [asm.to_rows()]
