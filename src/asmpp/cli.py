@@ -159,6 +159,9 @@ def _parse_weights(text, n):
     symbols = list(dict.fromkeys(t for t, v in zip(tokens, values) if v is None))
     if len(symbols) > 2:
         raise UsageError("at most two distinct symbolic weights are supported")
+    for t in symbols:
+        if not t.isidentifier():
+            raise UsageError(f"weight {t!r} is neither a number nor a name")
     axis = dict(zip(symbols, ("x", "y")))
     weights = [MultiPoly.variable(("x", "y"), axis[t]) if v is None
                else MultiPoly.constant(("x", "y"), v)
@@ -216,7 +219,8 @@ def cmd_genfun(args):
             "total": poly.total(),
         }), args.out)
     elif args.format == "csv":
-        header = [f"{labels[0]}\\{labels[1]}"] + [str(j) for j in range(len(matrix[0]))]
+        width = len(matrix[0]) if matrix else 0  # a zero polynomial has no rows
+        header = [f"{labels[0]}\\{labels[1]}"] + [str(j) for j in range(width)]
         rows = [[i] + row for i, row in enumerate(matrix)]
         _emit(_csv_text(header, rows), args.out)
     else:

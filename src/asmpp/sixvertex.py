@@ -47,8 +47,7 @@ class VertexGrid:
             self.validate()
 
     def validate(self):
-        # Reconstruct the partial-sum edges; each type pins (T, S, entry).
-        six_vertex_to_asm(self)  # raises on inconsistency
+        six_vertex_to_asm(self)  # raises unless self is an ASM's grid
 
     def __eq__(self, other):
         return isinstance(other, VertexGrid) and self.types == other.types
@@ -64,7 +63,7 @@ _TYPE_FROM_STATE = {
     (0, 0): "a1", (1, 1): "a2",
     (0, 1): "b1", (1, 0): "b2",
 }
-_STATE_FROM_TYPE = {v: k for k, v in _TYPE_FROM_STATE.items()}
+_ENTRY_FROM_TYPE = {"c1": 1, "c2": -1, "a1": 0, "a2": 0, "b1": 0, "b2": 0}
 
 
 def asm_to_six_vertex(a: Asm) -> VertexGrid:
@@ -90,34 +89,17 @@ def asm_to_six_vertex(a: Asm) -> VertexGrid:
 
 
 def six_vertex_to_asm(g: VertexGrid) -> Asm:
-    """Inverse bijection; validates the ice rule and boundary as it goes."""
-    n = g.n
-    rows = []
-    col = [0] * n
-    for i in range(n):
-        rowsum = 0
-        row = []
-        for j in range(n):
-            t = g.types[i][j]
-            if t == "c1":
-                v = 1
-            elif t == "c2":
-                v = -1
-            elif t in _STATE_FROM_TYPE:
-                v = 0
-                if _STATE_FROM_TYPE[t] != (rowsum, col[j]):
-                    raise ValueError(f"vertex ({i},{j}) type {t} breaks arrow continuity")
-            else:
-                raise ValueError(f"unknown vertex type {t!r}")
-            row.append(v)
-            rowsum += v
-            col[j] += v
-        if rowsum != 1:
-            raise ValueError(f"row {i} arrows violate the boundary")
-        rows.append(row)
-    if any(c != 1 for c in col):
-        raise ValueError("column arrows violate the boundary")
-    return Asm(rows)
+    """Inverse bijection.  It accepts exactly the images of
+    `asm_to_six_vertex`: the c types give the entries, the grid must be an
+    ASM's, and every a/b type must be the one the forward map assigns."""
+    try:
+        rows = [[_ENTRY_FROM_TYPE[t] for t in row] for row in g.types]
+    except KeyError as exc:
+        raise ValueError(f"unknown vertex type {exc.args[0]!r}") from None
+    a = Asm(rows)
+    if asm_to_six_vertex(a) != g:
+        raise ValueError("a/b vertex types break arrow continuity")
+    return a
 
 
 def _inv(x):

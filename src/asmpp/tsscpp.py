@@ -13,12 +13,16 @@ each column's cells by this rule, one block of the array at a time.
 The path image: for each level c = n-t (t = 1..n-1), the boundary of the
 region of triangle entries >= c is a monotone staircase; reading its
 vertical/horizontal steps bottom-to-top gives the t-th path of the bundle,
-with horizontal steps becoming diagonal ones.
+with horizontal steps becoming diagonal ones.  The crossing table r[s][c]
+(where the level-c boundary crosses triangle row s) and the triangle are
+row conjugates of each other: b[s][j] = #{c : r[s][c] >= j} and r[s][c] =
+#{j : b[s][j] >= c}.  Every such count, here and in the array's own checks,
+is one call of `_above` per row.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from itertools import accumulate
 
 from .nilp import Nilp, VERT, DIAG, enumerate_nilps
 
@@ -30,15 +34,14 @@ class TsscppError(ValueError):
 class Tsscpp:
     __slots__ = ("n", "heights")
 
-    def __init__(self, heights, validate=True):
+    def __init__(self, heights):
         heights = tuple(tuple(int(v) for v in row) for row in heights)
         m = len(heights)
         if m % 2 or any(len(row) != m for row in heights):
             raise TsscppError("heights must form a 2n x 2n array")
         self.n = m // 2
         self.heights = heights
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- validation ----------------------------------------------------------
 
@@ -82,17 +85,26 @@ class Tsscpp:
         return [list(r) for r in self.heights]
 
 
+def _above(row, size):
+    """[#{v in row : v > x} for x in range(size)], for entries in [0, size]:
+    a histogram and one suffix sum, so the row may be in any order."""
+    hist = [0] * (size + 1)
+    for v in row:
+        hist[v] += 1
+    return list(accumulate(reversed(hist[1:])))[::-1]
+
+
 def _check_axis_symmetry(a):
     """The full axis symmetry of the cube stack: (a[i][j] >= k) equals
     (a[j][k-1] >= i+1) for every cell (i, j, k).  Rows are weakly decreasing
-    (checked before), so both sides hold for k up to a bound: the cells of
-    (i, j) agree when a[i][j] = #{k : a[j][k] > i}.  Only the first (i, j)
-    that differs is searched for its first k, for the message."""
+    and in [0, 2n] (checked before), so both sides hold for k up to a bound:
+    the cells of (i, j) agree when a[i][j] = #{k : a[j][k] > i}.  Only the
+    first (i, j) that differs is searched for its first k, for the message."""
     m = len(a)
-    rising = [row[::-1] for row in a]
+    above = [_above(row, m) for row in a]
     for i in range(m):
         for j in range(m):
-            if a[i][j] != m - bisect_right(rising[j], i):
+            if a[i][j] != above[j][i]:
                 k = next(k for k in range(1, m + 1) if (a[i][j] >= k) != (a[j][k - 1] >= i + 1))
                 raise TsscppError(f"axis-permutation symmetry fails at ({i+1},{j+1},{k})")
 
@@ -123,19 +135,20 @@ def from_triangle(n, tri) -> Tsscpp:
       a[x][n+y] = a[n+y][x] = #{v in low[y] : v > x}
                               + #{v in low[n-1-x] : v < n-y}:
         its cells with k > n read low[y] at k, those with k <= n are
-        complements read off low[n-1-x].
+        complements read off low[n-1-x].  The second count is n minus
+        #{v in low[n-1-x] : v > n-1-y}, so both read one `_above` per row.
 
     The off-diagonal count assumes the bounds `validate_triangle` checks."""
     validate_triangle(n, tri)
     m = 2 * n
     low = [[tri[max(x, y)][min(x, y)] for y in range(n)] for x in range(n)]
+    above = [_above(row, n) for row in low]
     a = [[0] * m for _ in range(m)]
     for x in range(n):
         for y in range(n):
             a[n + x][n + y] = low[x][y]
             a[x][y] = m - low[n - 1 - x][n - 1 - y]
-            a[x][n + y] = a[n + y][x] = (sum(v > x for v in low[y])
-                                         + sum(v < n - y for v in low[n - 1 - x]))
+            a[x][n + y] = a[n + y][x] = above[y][x] + n - above[n - 1 - x][n - 1 - y]
     return Tsscpp(a)
 
 
@@ -144,25 +157,24 @@ def from_triangle(n, tri) -> Tsscpp:
 # ---------------------------------------------------------------------------
 
 def tsscpp_to_nilp(a: Tsscpp) -> Nilp:
+    """The level-c path crosses triangle row s at #{j : b[s][j] >= c}.  The
+    triangle of a validated array has weakly decreasing rows and columns, so
+    the crossings never move left, and a path that never meets the diagonal
+    ends at x = 0 in row 1."""
     n = a.n
-    tri = a.triangle()
+    r = [_above(row, n) for row in a.triangle()]
     steps = [""]
     for t in range(1, n):
         c = n - t
         seq = []
         x = 0
         for s in range(t, 0, -1):
-            target = sum(1 for j in range(s) if tri[s - 1][j] >= c)
-            if target < x:
-                raise TsscppError(f"level-{c} region is not a staircase")
+            target = r[s - 1][c - 1]
             seq.append(DIAG * (target - x))
             x = target
             if x == s:
                 break  # path reached the diagonal; all steps spent
             seq.append(VERT)
-        else:
-            if x != 0:
-                raise TsscppError(f"level-{c} path does not close at the origin")
         steps.append("".join(seq))
     return Nilp(steps)
 
@@ -185,11 +197,7 @@ def nilp_to_tsscpp(p: Nilp) -> Tsscpp:
         # stopped on the diagonal at (x, -x): rows at or above are full
         for s in range(1, x + 1):
             r[s][c] = s
-    tri = [
-        [sum(1 for c in range(1, n) if r[s][c] >= j) for j in range(1, s + 1)]
-        for s in range(1, n + 1)
-    ]
-    return from_triangle(n, tri)
+    return from_triangle(n, [_above(r[s][1:], s) for s in range(1, n + 1)])
 
 
 def enumerate_tsscpps(n: int):

@@ -1,6 +1,6 @@
 """Brute-force oracles for the ASM enumeration order, the doubly refined
 polynomials, the six-vertex partition sum, the TSSCPP height array and the
-lattice-path integral.
+lattice-path integral, and an arrow-level check of the six-vertex map.
 
 Each is a sum over listed objects: every ASM from `enumerate_asms`, every
 bundle from `enumerate_nilps`.  The library computes the same polynomials
@@ -16,6 +16,8 @@ is counted cell by cell from the membership rule, which
 axis-permutation symmetry with the triple loop `Tsscpp.validate` replaces by
 row conjugates.  The lattice-path integral is evaluated by iterated residues
 of its integrand, where `contour.integral_U` sums determinants instead.
+`ice_rule_breach` reads a grid of vertex types as arrows, independently of
+the partial-sum typing `sixvertex.asm_to_six_vertex` uses.
 """
 
 from collections import Counter
@@ -126,6 +128,36 @@ def brute_weighted_partition_sum(n: int, s, r):
                     weight = weight * (cfac * s[i] * s[n + j])
         total = weight if total is None else total + weight
     return total
+
+
+# The arrows of each vertex type in the order (left, right, top, bottom):
+# E or W on the horizontal edges, U or D on the vertical ones.
+ARROWS = {"a1": "EEUU", "a2": "WWDD", "b1": "EEDD", "b2": "WWUU",
+          "c1": "EWUD", "c2": "WEDU"}
+
+
+def ice_rule_breach(types):
+    """The first breach, as a message, of the ice rule with domain wall
+    boundary conditions in a square grid of vertex types, or None: every
+    vertex has two arrows in and two out, neighbours agree on their shared
+    edge, and the boundary arrows point in on the sides (E on the left, W on
+    the right) and out on the top (U) and the bottom (D)."""
+    n = len(types)
+    arrows = [[ARROWS[t] for t in row] for row in types]
+    for i, row in enumerate(arrows):
+        for j, (left, right, top, bottom) in enumerate(row):
+            ins = (left == "E") + (right == "W") + (top == "D") + (bottom == "U")
+            if ins != 2:
+                return f"vertex ({i},{j}) has {ins} arrows in"
+            if left != (row[j - 1][1] if j else "E"):
+                return f"left edge of ({i},{j})"
+            if top != (arrows[i - 1][j][3] if i else "U"):
+                return f"top edge of ({i},{j})"
+            if j == n - 1 and right != "W":
+                return f"right boundary at row {i}"
+            if i == n - 1 and bottom != "D":
+                return f"bottom boundary at column {j}"
+    return None
 
 
 def membership_heights(n, tri):

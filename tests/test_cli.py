@@ -192,6 +192,8 @@ def test_every_spec_suite_exists():
     ("genfun", "lgv", "--n", "3", "--weights", "t,,1"),
     ("genfun", "lgv", "--n", "3", "--weights", "t, ,1"),
     ("genfun", "lgv", "--n", "3", "--weights", " , ,1"),
+    ("genfun", "lgv", "--n", "3", "--weights", "2t,s,1"),
+    ("genfun", "lgv", "--n", "3", "--weights", "t,-s,1"),
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     code, out = run_cli(*argv)
@@ -213,7 +215,7 @@ FUZZ_VALUES = {
     "--format": ["json", "csv", "pretty", "x"],
     "--form": ["raw", "after-u1", "x"],
     "--weights": ["t,s,1", "1,2,1,3", "t,s,1,1", "1/3,1/3,1", "1/2,2", "t,1/0,1",
-                  "t,u,v", ""],
+                  "t,u,v", "1,-1", "0,0,0", ""],
     "--a": ["y(1-y)", "1,2", "-8/5,1,3/2", "1/0,2", "x", ""],
     "--i": ["0", "1", "5", "x"],
     "--j": ["0", "2", "-1", "x"],
@@ -242,6 +244,20 @@ def test_fuzzed_arguments_keep_the_exit_code_contract(command, n, options):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("n, weights", [("2", "1,-1"), ("3", "0,0,0")])
+def test_zero_polynomial_reports(fmt, n, weights):
+    code, out = run_cli("genfun", "lgv", "--n", n, "--weights", weights, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["matrix"] == [] and report["total"] == 0
+    elif fmt == "csv":
+        assert out.splitlines() == ["x\\y"]
+    else:
+        assert out == f"lgv  n={n}\n0\ntotal = 0\n\n"
 
 
 def test_lgv_integer_weights_keep_their_counts():

@@ -2,11 +2,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from brute_oracles import brute_weighted_partition_sum
+from brute_oracles import brute_weighted_partition_sum, ice_rule_breach
 
 from asmpp import asm, sixvertex
 from asmpp.algebra.cyclo import CycloScalar, ZETA
-from asmpp.asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
+from asmpp.asm import Asm, asm_count_formula, enumerate_asms, genfun_doubly_refined
 from asmpp.schur import schur_staircase
 from asmpp.sixvertex import (
     VertexGrid,
@@ -41,9 +41,37 @@ def test_bijection_roundtrip():
         assert len(grids) == asm_count_formula(n)
 
 
+def test_forward_map_obeys_the_ice_rule():
+    grids = [asm_to_six_vertex(a).types for n in range(1, 6) for a in enumerate_asms(n)]
+    assert len(grids) == 1 + 2 + 7 + 42 + 429
+    for types in grids:
+        assert ice_rule_breach(types) is None, types
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         VertexGrid([["a1", "a1"], ["a1", "a1"]])  # no c vertices: breaks boundary
+    with pytest.raises(ValueError, match="unknown vertex type"):
+        six_vertex_to_asm(VertexGrid([["c1", "a1"], ["a1", "c3"]], validate=False))
+
+
+def test_inverse_accepts_only_images_of_the_forward_map():
+    # an ASM's grid with one a/b vertex read as another a/b type still has an
+    # ASM's entries, but is no image; at n = 2 the anti-diagonal ASM's a1
+    # read as b1 is one such grid
+    assert asm_to_six_vertex(Asm([[0, 1], [1, 0]])).types == (("a1", "c1"), ("c1", "a2"))
+    swaps = 0
+    for n in range(2, 5):
+        for a in enumerate_asms(n):
+            types = asm_to_six_vertex(a).types
+            for i, j in ((i, j) for i in range(n) for j in range(n) if not a.entries[i][j]):
+                for other in {"a1", "a2", "b1", "b2"} - {types[i][j]}:
+                    bad = [list(row) for row in types]
+                    bad[i][j] = other
+                    with pytest.raises(ValueError):
+                        six_vertex_to_asm(VertexGrid(bad, validate=False))
+                    swaps += 1
+    assert swaps == 3 * 508  # every 0 entry of the 49 ASMs with 2 <= n <= 4
 
 
 def test_partition_sum_n1():

@@ -1,4 +1,6 @@
+import sys
 from collections import Counter
+from random import Random
 
 import pytest
 from brute_oracles import axis_symmetry_brute, membership_heights
@@ -66,13 +68,49 @@ def test_flat_array_maps_to_all_vertical_paths():
 
 
 def test_roundtrip_all_objects():
-    for n in range(1, 5):
+    for n in range(1, 7):
         seen = set()
         for p in enumerate_nilps(n):
             a = nilp_to_tsscpp(p)
             assert tsscpp_to_nilp(a) == p
             seen.add(a)
         assert len(seen) == asm_count_formula(n)
+
+
+def _above_by_cells(row, size):
+    return [sum(v > x for v in row) for x in range(size)]
+
+
+def test_above_counts_the_entries_above_each_level():
+    rng = Random(5)
+    for _ in range(500):
+        size = rng.randint(0, 9)
+        row = [rng.randint(0, size) for _ in range(rng.randint(0, 12))]
+        assert tsscpp._above(row, size) == _above_by_cells(row, size), (row, size)
+
+
+def test_above_on_every_row_the_bijections_feed_it(monkeypatch):
+    # crossing rows (nilp_to_tsscpp), low rows (from_triangle), array rows
+    # (_check_axis_symmetry) and triangle rows (tsscpp_to_nilp)
+    calls = {}
+
+    def spy(row, size):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "<listcomp>":
+            frame = frame.f_back
+        calls.setdefault(frame.f_code.co_name, set()).add((tuple(row), size))
+        return above(row, size)
+
+    above = tsscpp._above
+    monkeypatch.setattr(tsscpp, "_above", spy)
+    for n in range(1, 6):
+        for p in enumerate_nilps(n):
+            tsscpp_to_nilp(nilp_to_tsscpp(p))
+    assert set(calls) == {"nilp_to_tsscpp", "from_triangle", "_check_axis_symmetry",
+                          "tsscpp_to_nilp"}
+    for caller, seen in calls.items():
+        for row, size in seen:
+            assert above(row, size) == _above_by_cells(row, size), (caller, row, size)
 
 
 def test_enumerate_tsscpps():
