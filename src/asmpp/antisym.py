@@ -1,4 +1,5 @@
-"""The n!-term antisymmetrized kernel and its determinant closed form.
+"""The antisymmetrized kernel, summed by a DP over subsets, and its
+determinant closed form.
 
 With h_q(x, y) = (q x - y/q)(q x y - 1/q) and h_1 its q = 1 case, the
 antisymmetrization over the w-variables of
@@ -7,17 +8,20 @@ antisymmetrization over the w-variables of
                                    prod_{i>=j} h_q(w_j, z_i) ]
 
 collapses to q^{n(n-1)/2} det[f(w_i, z_j)] / prod_{i<j} h_1(z_i,z_j)(1-q^2 w_i w_j)
-with f = 1/(h_1 h_q).  Dropping the h_q part of f leaves a Cauchy
-determinant with a fully factored value.  Everything here evaluates these
-exactly at rational sample points with generic rational q = r**2.
+with f = 1/(h_1 h_q).  Each of the n! terms of the sum factors by
+position: the value placed at position j brings its own h-factors, one
+cross factor with each value placed before it, and one sign per earlier
+value above it.  So the sum is a DP over the set of values placed so far,
+in 2^n n^2 steps.  Dropping the h_q part of f leaves a Cauchy determinant
+with a fully factored value.  Everything here evaluates these exactly at
+rational sample points with generic rational q = r**2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
-from .algebra.matrix import determinant, perm_sign
+from .algebra.matrix import determinant
 from .schur import random_distinct_rationals
 
 
@@ -42,26 +46,47 @@ def kernel_f(w, z, q):
 
 
 def bn_brute(n: int, w, z, r):
-    """The antisymmetrized sum, all n! terms, exactly."""
+    """The antisymmetrized sum, exactly, by a DP over subsets of values.
+
+    A layer maps the bitmask S of the values at positions 0..|S|-1 to the
+    signed sum of their partial terms.  Placing v at position j = |S|
+    multiplies by inv[j][v] = 1/(prod_{i<=j} h_1(w_v, z_i) prod_{i>=j}
+    h_q(w_v, z_i)) and by q w_a - w_v/q for each a in S, and flips the sign
+    once per a in S above v.  Every h-factor is in the denominator of some
+    term, so the sample is singular exactly when one of them vanishes."""
     q = r * r
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        ws = [w[p] for p in perm]
-        num = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                num *= q * ws[i] - ws[j] / q
-        den = Fraction(1)
-        for i in range(n):
-            for j in range(n):
-                if i <= j:
-                    den *= h1(ws[j], z[i])
-                if i >= j:
-                    den *= hq(ws[j], z[i], q)
-        if not den:
-            raise SingularSampleError("denominator vanished in antisymmetrized sum")
-        total += perm_sign(perm) * num / den
-    return total
+    inv = [[None] * n for _ in range(n)]
+    for v in range(n):
+        d1 = [h1(w[v], zi) for zi in z]
+        dq = [hq(w[v], zi, q) for zi in z]
+        if not all(d1) or not all(dq):
+            raise SingularSampleError(f"h factors vanish at w={w[v]}")
+        suffix = [Fraction(1)] * (n + 1)
+        for i in reversed(range(n)):
+            suffix[i] = suffix[i + 1] * dq[i]
+        prefix = Fraction(1)
+        for j in range(n):
+            prefix *= d1[j]
+            inv[j][v] = 1 / (prefix * suffix[j])
+    g = [[q * wa - wv / q for wv in w] for wa in w]
+    layer = {0: Fraction(1)}
+    for j in range(n):
+        nxt = {}
+        for s, val in layer.items():
+            placed = [a for a in range(n) if s >> a & 1]
+            for v in range(n):
+                if s >> v & 1:
+                    continue
+                factor = inv[j][v]
+                for a in placed:
+                    factor *= g[a][v]
+                term = val * factor
+                t = s | 1 << v
+                if (s >> v).bit_count() & 1:
+                    term = -term
+                nxt[t] = nxt.get(t, 0) + term
+        layer = nxt
+    return layer[(1 << n) - 1]
 
 
 def bn_closed(n: int, w, z, r):

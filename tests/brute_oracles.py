@@ -1,6 +1,7 @@
 """Brute-force oracles for the ASM enumeration order, the doubly refined
 polynomials, the six-vertex partition sum, the TSSCPP height array and the
-lattice-path integral, and an arrow-level check of the six-vertex map.
+lattice-path integral, the antisymmetrized qKZ kernel, and an arrow-level
+check of the six-vertex map.
 
 Each is a sum over listed objects: every ASM from `enumerate_asms`, every
 bundle from `enumerate_nilps`.  The library computes the same polynomials
@@ -16,6 +17,9 @@ is counted cell by cell from the membership rule, which
 axis-permutation symmetry with the triple loop `Tsscpp.validate` replaces by
 row conjugates.  The lattice-path integral is evaluated by iterated residues
 of its integrand, where `contour.integral_U` sums determinants instead.
+The antisymmetrized kernel is summed over all n! permutations of the
+w-variables (`bn_permutation_sum`), where `antisym.bn_brute` runs a DP over
+subsets of placed values.
 `ice_rule_breach` reads a grid of vertex types as arrows, independently of
 the partial-sum typing `sixvertex.asm_to_six_vertex` uses.
 """
@@ -23,8 +27,11 @@ the partial-sum typing `sixvertex.asm_to_six_vertex` uses.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from asmpp import contour
+from asmpp.algebra.matrix import perm_sign
+from asmpp.antisym import SingularSampleError, h1, hq
 from asmpp.asm import _extensions, enumerate_asms, refined_stat
 from asmpp.genpoly import GenPoly
 from asmpp.nilp import enumerate_nilps, u_statistic
@@ -218,3 +225,26 @@ def integral_U_residue(n, form="raw"):
             spec.add_poly(contour._one_plus({ui: 1, "y": 1}))
             spec.add_poly(contour._one_plus({ui: 1}) ** (i - 2))
     return GenPoly.from_poly(contour.iterated_residue(spec))
+
+
+def bn_permutation_sum(n: int, w, z, r):
+    """The antisymmetrized sum, all n! terms, exactly."""
+    q = r * r
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        ws = [w[p] for p in perm]
+        num = Fraction(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                num *= q * ws[i] - ws[j] / q
+        den = Fraction(1)
+        for i in range(n):
+            for j in range(n):
+                if i <= j:
+                    den *= h1(ws[j], z[i])
+                if i >= j:
+                    den *= hq(ws[j], z[i], q)
+        if not den:
+            raise SingularSampleError("denominator vanished in antisymmetrized sum")
+        total += perm_sign(perm) * num / den
+    return total

@@ -173,9 +173,10 @@ def test_criterion_9_involutions_and_array_statistics():
 def test_criterion_10_antisymmetrization():
     with Budget(10, 300):
         rng = Random(1010)
-        for n in range(1, 4):
+        # n = 9 is out of the n!-term sum's reach (9! terms per sample)
+        for n in [*range(1, 7), 9]:
             done = 0
-            while done < 10:
+            while done < (10 if n <= 6 else 3):
                 w = antisym.sample_points(rng, n)
                 z = antisym.sample_points(rng, n, forbid=set(w))
                 r = Fraction(rng.randint(2, 9), rng.randint(1, 9))

@@ -14,6 +14,7 @@ from asmpp.antisym import (
     kernel_f,
     sample_points,
 )
+from brute_oracles import bn_permutation_sum
 
 
 def test_base_case():
@@ -78,3 +79,39 @@ def test_singular_samples_rejected():
         kernel_f(Fraction(1, 2), Fraction(1, 2), Fraction(4))  # h1 = 0
     with pytest.raises(SingularSampleError):
         fbar_det(1, [Fraction(1, 2)], [Fraction(2)])  # w*z = 1
+
+
+@pytest.mark.parametrize("n, count", [(1, 10), (2, 10), (3, 10), (4, 5), (5, 3), (6, 3)])
+def test_subset_dp_equals_the_permutation_sum(n, count):
+    rng = Random(30 + n)
+    done = 0
+    while done < count:
+        w = sample_points(rng, n)
+        z = sample_points(rng, n, forbid=set(w))
+        r = Fraction(rng.randint(2, 9), rng.randint(1, 9))
+        try:
+            want = bn_permutation_sum(n, w, z, r)
+        except SingularSampleError:
+            with pytest.raises(SingularSampleError):
+                bn_brute(n, w, z, r)
+            continue
+        assert bn_brute(n, w, z, r) == want, (n, w, z, r)
+        done += 1
+
+
+@pytest.mark.parametrize("factor", ["h1", "hq"])
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("v", range(3))
+def test_each_vanishing_h_factor_is_singular(v, i, factor):
+    # z_i = w_v zeroes h1(w_v, z_i); z_i = q**2 w_v zeroes hq(w_v, z_i)
+    w = [Fraction(2, 3), Fraction(-3, 5), Fraction(5, 7)]
+    z = [Fraction(7, 4), Fraction(-4, 9), Fraction(9, 2)]
+    r = Fraction(3, 2)
+    q = r * r
+    assert bn_brute(3, w, z, r) == bn_permutation_sum(3, w, z, r)
+    z[i] = w[v] if factor == "h1" else q * q * w[v]
+    assert (h1(w[v], z[i]) if factor == "h1" else hq(w[v], z[i], q)) == 0
+    with pytest.raises(SingularSampleError):
+        bn_brute(3, w, z, r)
+    with pytest.raises(SingularSampleError):
+        bn_permutation_sum(3, w, z, r)

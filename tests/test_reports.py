@@ -10,13 +10,15 @@ own sizes are pinned too: lgv at n = 7, integral-I with the rational --a
 vectors of benchmark seeds 0 and 7 (at n = 5, and extended by one entry at
 n = 6), in all three formats; doubly-refined at n = 6 and 1..6 in json and
 pretty; the involutions, mrr, zeilid and zprime suites at their cap
-n = 5 in json; and the six-vertex and recursion suites at n = 5 and 6 in
-json.  The asm, nilp and doubly-refined digests at n = 6 and 7
-were recorded from the brute enumeration those routes ran before their
-DPs; the zeilid and zprime n = 5 digests from the residue and sum routes
-as they stood when those limits were raised; the six-vertex and recursion
-digests at n = 5 and 6 from the partition sum over every listed ASM that
-the row-state transfer replaced.  The enumerate command
+n = 5 in json; the six-vertex and recursion suites at n = 5 and 6 in
+json; and the appendix-d suite over n = 5..7 at seed 11 in json.  The
+asm, nilp and doubly-refined digests at n = 6 and 7 were recorded from
+the brute enumeration those routes ran before their DPs; the zeilid and
+zprime n = 5 digests from the residue and sum routes as they stood when
+those limits were raised; the six-vertex and recursion digests at n = 5
+and 6 from the partition sum over every listed ASM that the row-state
+transfer replaced; the appendix-d n = 5..7 digest from the n!-term
+antisymmetrized sum that the subset DP replaced.  The enumerate command
 is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats and at
 the benchmark's sizes (asm and nilp at n = 6) in json; the nilp digests were
 recorded from the occupied-site search that listed bundles before the
@@ -81,6 +83,7 @@ def report_cases():
     for suite in ("six-vertex", "recursion"):
         for n in ("5", "6"):
             cases.append(("verify", suite, "--n", n, "--format", "json"))
+    cases.append(("verify", "appendix-d", "--n", "5..7", "--seed", "11", "--format", "json"))
     for n in range(1, 6):
         for kind in ("asm", "nilp", "tsscpp"):
             for fmt in ("json", "csv", "pretty"):
@@ -647,6 +650,8 @@ DIGESTS = {
         "2f54d580b265e8a57e463622b06e0e6ec537341520fd244264870c776e16450b",
     "verify doubly-refined --n 1..6 --format pretty":
         "4477f340ee010a8bae035dcdc15246af984905b069b82489adfc99cc70806a14",
+    "verify appendix-d --n 5..7 --seed 11 --format json":
+        "a01cb5dae59381249aa2a5e1cf2560683760030bf2b11c1be0d7585ccbc620ff",
     "verify involutions --n 5 --format json":
         "a412452c6f3370c2fa9881701ad48256dada4664186cc1660b683d5ebb7810e7",
     "verify mrr --n 5 --format json":
