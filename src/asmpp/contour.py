@@ -24,20 +24,18 @@ zeilid identity has antisymmetrized its qKZ cross factors) times
 prod_i f_i(u_i) / u_i**(e_i+1).  The kernel is the sum of det[u_i**r_j]
 over 0 <= r_0 < r_1 < ... with r_0 even and odd gaps (the even-partitions
 identity), so by Cauchy-Binet the integral is the sum over those sequences
-of det[c_i(r_j)], c_i(r) = [u**(e_i - r)] f_i, which lgv.minor_sum runs on
-Kronecker-packed ints x = 2**W, y = 2**(W*s).  A term takes one entry per
-row, so its x-degree is below s = 1 + the sum of the rows' x-degrees (n on
-every route) and each coefficient is at most prod_i (1 + sum_r l1(c_i(r)));
-W is that bound's bit length plus a sign bit (50 bits for A at n = 9).
+of det[c_i(r_j)], c_i(r) = [u**(e_i - r)] f_i.  Each c_i(r) is a closed
+binomial sum (_a_entry for A, lgv.bilinear_entry for U), and
+lgv.packed_minor_sum evaluates the sum on Kronecker-packed ints.
 
-The builders share one factor vocabulary: `_poly` makes a factor over just
-the variables it names (the kernel aligns every factor to the spec), and
-`_one_plus`, `_add_qkz_cross`, `_add_cauchy` and `_vandermonde_pairs` give
-the numerators 1 + c*m, the qKZ cross factors, the Cauchy kernel and the
-Vandermonde pairs.  Factors of one stage multiply in the order they were
-added, which changes only the size of the intermediate series: numerators
-go first (the kernel first costs 54% more term products in
-`homogeneous_limit_check(4)`).
+The residue builders share one factor vocabulary: `_poly` makes a factor
+over just the variables it names (the kernel aligns every factor to the
+spec), and `_one_plus`, `_add_qkz_cross`, `_add_cauchy` and
+`_vandermonde_pairs` give the numerators 1 + c*m, the qKZ cross factors, the
+Cauchy kernel and the Vandermonde pairs.  Factors of one stage multiply in
+the order they were added, which changes only the size of the intermediate
+series: numerators go first (the kernel first costs 54% more term products
+in `homogeneous_limit_check(4)`).
 """
 
 from __future__ import annotations
@@ -52,10 +50,9 @@ from .algebra.poly import MultiPoly
 from .algebra.series import ContourSideError, positive_valuation
 from .checks import check
 from .genpoly import GenPoly
-from .lgv import minor_sum
+from .lgv import bilinear_entry, packed_minor_sum
 
 XY = ("x", "y")
-UXY = ("u",) + XY
 
 
 @dataclass
@@ -239,25 +236,12 @@ def _vandermonde_pairs(us, tau_mono):
         yield _poly((1, {ui: 1}), (1, {uj: 1}), (1, {ui: 1, uj: 1, **tau_mono}))
 
 
-def _cauchy_binet(rows) -> GenPoly:
-    """The Cauchy-Binet sum of the module docstring over the rows (e_i, f_i),
-    f_i a MultiPoly in (u, x, y), on Kronecker-packed ints."""
-    entries = [{} for _ in rows]  # per row: {r: {(x exponent, y exponent): c}}
-    for row, (e, f) in zip(entries, rows):
-        for (d, a, b), c in math.prod((g.align(UXY) for g in f), start=1).terms.items():
-            if d <= e:
-                row.setdefault(e - d, {})[a, b] = c
-    stride = 1 + sum(max(a for col in row.values() for a, _ in col) for row in entries)
-    bound = math.prod(1 + sum(abs(c) for col in row.values() for c in col.values())
-                      for row in entries)
-    width = bound.bit_length() + 1
-    columns = {}
-    for i, row in enumerate(entries):
-        for r, col in row.items():
-            packed = sum(c << (a + b * stride) * width for (a, b), c in col.items())
-            columns.setdefault(r, []).append((i, packed))
-    firsts = range(0, max(columns, default=0) + 1, 2)
-    return GenPoly.from_packed(minor_sum(len(rows), columns, firsts, 1), stride, width)
+def _a_entry(k: int, m: int) -> dict:
+    """[u**m] (1+u)**k (1+x u) / (1-(y-1) u) as {(x exponent, y exponent): c}:
+    the x**a y**b coefficient is sum_j C(k, m-a-j) C(j, b) (-1)**(j-b)."""
+    return {(a, b): c for a in (0, 1) for b in range(m - a + 1)
+            if (c := sum(math.comb(k, m - a - j) * math.comb(j, b) * (-1) ** (j - b)
+                         for j in range(b, m - a + 1)))}
 
 
 def integral_A(n: int) -> GenPoly:
@@ -266,15 +250,8 @@ def integral_A(n: int) -> GenPoly:
     e_k = 2k-1 and f_k = (1+u)**k (1+x u) / (1-(y-1) u)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # 1/(1 - (y-1) u) up to u**(2n-3), the highest power any row reaches
-    shift = _poly((1, {"u": 1, "y": 1}), (-1, {"u": 1}))
-    geometric = power = shift ** 0
-    for _ in range(2 * n - 3):
-        power = power * shift
-        geometric = geometric + power
-    return _cauchy_binet([
-        (2 * k - 1, [_one_plus({"u": 1}) ** k, _one_plus({"u": 1, "x": 1}), geometric])
-        for k in range(1, n)])
+    return packed_minor_sum([{2 * k - 1 - m: _a_entry(k, m) for m in range(2 * k)}
+                             for k in range(1, n)], 0)
 
 
 def integral_U(n: int, form: str = "raw") -> GenPoly:
@@ -293,14 +270,11 @@ def integral_U(n: int, form: str = "raw") -> GenPoly:
         raise ValueError("n must be >= 1")
     if form not in ("raw", "after-u1"):
         raise ValueError(f"unknown form {form!r}")
-    first = 1 if form == "raw" else 2
-    rows = []
-    for i in range(first, n + 1):
-        f = [_one_plus({"u": 1, "x": 1})]
-        if i >= 2:
-            f += [_one_plus({"u": 1, "y": 1}), _one_plus({"u": 1}) ** (i - 2)]
-        rows.append((2 * i - 1 - first, f))
-    return _cauchy_binet(rows)
+    rows = [{0: {(0, 0): 1}}] if form == "raw" else []
+    for i in range(2, n + 1):
+        e = 2 * i - 2 if form == "raw" else 2 * i - 3
+        rows.append({e - m: bilinear_entry(i - 2, m) for m in range(min(e, i) + 1)})
+    return packed_minor_sum(rows, 0)
 
 
 def integral_I(n: int, avec) -> GenPoly:

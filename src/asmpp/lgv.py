@@ -19,15 +19,17 @@ endpoint, column j adds an unused row i and an endpoint r, and the sign is
 (-1)^(number of used rows with a larger index than i).  A row whose last
 entry lies below r must already be used, which prunes every state that
 cannot complete.  Only ring products, sums and negation are needed, so the
-same DP runs on the weights' ring in lgv_genfun and on Kronecker-packed ints
-in contour.integral_A and integral_U.  The sum of one Bareiss determinant
-per endpoint sequence stays as lgv_genfun_det, the test oracle.
+same DP runs on the weights' ring in lgv_genfun and, by packed_minor_sum, on
+Kronecker-packed ints in lgv_genfun_xy, contour.integral_A and integral_U.
+The sum of one Bareiss determinant per endpoint sequence stays as
+lgv_genfun_det, the test oracle.
 """
 
 from __future__ import annotations
 
+from math import comb, prod
+
 from .algebra.matrix import determinant
-from .algebra.poly import MultiPoly
 from .genpoly import GenPoly
 
 
@@ -90,6 +92,32 @@ def minor_sum(rows: int, columns, firsts, one):
     return sum(layer.values(), one - one)
 
 
+def bilinear_entry(k: int, m: int) -> dict:
+    """[u**m] (1+x u)(1+y u)(1+u)**k as {(x exponent, y exponent): c}."""
+    return {(a, b): comb(k, m - a - b) for a in (0, 1) for b in (0, 1)
+            if 0 <= m - a - b <= k}
+
+
+def packed_minor_sum(rows, first: int) -> GenPoly:
+    """minor_sum for entries c_i(r) = rows[i][r], each {(x exponent, y
+    exponent): c}, and first endpoints first, first + 2, ..., on
+    Kronecker-packed ints x = 2**W, y = 2**(W*s).  A term takes one entry per
+    row, so its x-degree is below s = 1 + the sum of the rows' x-degrees and
+    each coefficient is at most prod_i (1 + sum_r l1(c_i(r))); W is that
+    bound's bit length plus a sign bit (50 bits for integral_A at n = 9)."""
+    stride = 1 + sum(max(a for col in row.values() for a, _ in col) for row in rows)
+    bound = prod(1 + sum(abs(c) for col in row.values() for c in col.values())
+                 for row in rows)
+    width = bound.bit_length() + 1
+    columns = {}
+    for i, row in enumerate(rows):
+        for r, col in row.items():
+            packed = sum(c << (a + b * stride) * width for (a, b), c in col.items())
+            columns.setdefault(r, []).append((i, packed))
+    firsts = range(first, max(columns, default=0) + 1, 2)
+    return GenPoly.from_packed(minor_sum(len(rows), columns, firsts, 1), stride, width)
+
+
 def lgv_genfun(n: int, weights):
     """Weighted bundle count: the sum over endpoint sequences of
     det[P(i, r_j)], by minor_sum with rows i = 1..n-1 and r_1 = 1.
@@ -127,10 +155,7 @@ def lgv_genfun_det(n: int, weights):
 
 def lgv_genfun_xy(n: int) -> GenPoly:
     """The doubly refined polynomial via the determinant route: weights
-    (x, y, 1, ..., 1)."""
-    xy = ("x", "y")
-    x = MultiPoly.variable(xy, "x")
-    y = MultiPoly.variable(xy, "y")
-    one = MultiPoly.constant(xy, 1)
-    weights = [x, y] + [one] * (n - 2) if n >= 2 else [x]
-    return GenPoly.from_poly(lgv_genfun(n, weights[:n]))
+    (x, y, 1, ..., 1), so P(i, r) = [u**(2i-r)] (1+x u)(1+y u)(1+u)**(i-1);
+    row i = 1 ends at r = 2, so r_1 = 1 is the only odd first endpoint."""
+    return packed_minor_sum([{2 * i - m: bilinear_entry(i - 1, m) for m in range(i + 2)}
+                             for i in range(1, n)], 1)

@@ -71,7 +71,7 @@ def test_genfun_csv_format():
 
 
 def test_genfun_integral_limit():
-    for route, cap in (("integral-A", 9), ("integral-U", 9), ("integral-I", 7)):
+    for route, cap in (("integral-A", 12), ("integral-U", 12), ("integral-I", 7)):
         code, _ = run_cli("genfun", route, "--n", str(cap + 1))
         assert code == 2, route
     code, out = run_cli("genfun", "integral-U", "--n", "9", "--form", "after-u1")

@@ -28,6 +28,7 @@ from asmpp.contour import (
     vandermonde_antisym_identity,
     zeilid_check,
 )
+from asmpp.lgv import lgv_genfun_xy
 from asmpp.nilp import genfun_U
 from asmpp.verify import run_verify
 
@@ -297,23 +298,40 @@ def test_cauchy_binet_routes_match_their_residue_oracles(n):
     assert integral_U(n, "after-u1") == integral_U_residue(n, "after-u1")
 
 
-@pytest.mark.parametrize("n", [7, 8, 9])
+@pytest.mark.parametrize("n", [7, 8, 9, 12])
 def test_cauchy_binet_routes_above_the_residue_range(n):
     tilde = genfun_doubly_refined(n, "tilde")
     assert integral_A(n) == integral_U(n, "raw") == integral_U(n, "after-u1") == tilde
 
 
 def test_cauchy_binet_routes_take_no_residue(monkeypatch):
-    def refuse(spec):
-        raise AssertionError("iterated_residue called")
+    def refuse(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return raiser
 
-    monkeypatch.setattr(contour, "iterated_residue", refuse)
+    monkeypatch.setattr(contour, "iterated_residue", refuse("iterated_residue"))
+    for name in ("__mul__", "__rmul__", "__pow__", "align"):
+        monkeypatch.setattr(MultiPoly, name, refuse(f"MultiPoly.{name}"))
     for n in (1, 2, 5):
         integral_A(n)
         integral_U(n, "raw")
         integral_U(n, "after-u1")
-    with pytest.raises(AssertionError):
+        lgv_genfun_xy(n)
+    with pytest.raises(AssertionError, match="iterated_residue"):
         integral_I(2, [0])
+
+
+def test_a_entry_is_a_coefficient_of_its_series():
+    # 1/(1 - (y-1) u) up to u**(2k+1), past the highest m tested
+    uxy = ("u", "x", "y")
+    u, x, y = (MultiPoly.variable(uxy, v) for v in uxy)
+    for k in range(9):
+        geometric = sum(((y - 1) * u) ** j for j in range(2 * k + 2))
+        f = (1 + u) ** k * (1 + x * u) * geometric
+        for m in range(2 * k + 2):
+            want = {(a, b): c for (d, a, b), c in f.terms.items() if d == m}
+            assert contour._a_entry(k, m) == want, (k, m)
 
 
 def test_integral_routes_at_n6():

@@ -9,6 +9,7 @@ from asmpp.algebra.poly import MultiPoly
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
 from asmpp.genpoly import GenPoly
 from asmpp.lgv import (
+    bilinear_entry,
     elementary_symmetric,
     endpoint_sequences,
     lgv_genfun,
@@ -101,11 +102,26 @@ def test_y1_marginal_is_zeilbergers_refined_count():
             assert _x_marginal(lgv_genfun_xy(n), n) == want
 
 
+UXY = ("u", "x", "y")
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_three_counting_routes_agree(n):
     asms = genfun_doubly_refined(n, "tilde")
-    assert asms == genfun_U(n, 0, 1) == lgv_genfun_xy(n)
+    xy = [MultiPoly.variable(UXY, "x"), MultiPoly.variable(UXY, "y")]
+    weights = (xy + [MultiPoly.constant(UXY, 1)] * n)[:n]
+    via_ring = GenPoly.from_poly(lgv_genfun(n, weights))
+    assert asms == genfun_U(n, 0, 1) == lgv_genfun_xy(n) == via_ring
     assert asms.total() == asm_count_formula(n)
+
+
+def test_bilinear_entry_is_a_coefficient_of_its_product():
+    u, x, y = (MultiPoly.variable(UXY, v) for v in UXY)
+    for k in range(9):
+        f = (1 + x * u) * (1 + y * u) * (1 + u) ** k
+        for m in range(k + 5):
+            want = {(a, b): c for (d, a, b), c in f.terms.items() if d == m}
+            assert bilinear_entry(k, m) == want, (k, m)
 
 
 def test_full_weight_vector_against_direct_count():

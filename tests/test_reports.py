@@ -8,17 +8,20 @@ routes at n = 1..7 in all three formats (nilp with two statistic pairs),
 and every verify suite at seed 11 in all three formats.  The benchmark's
 own sizes are pinned too: lgv at n = 7, integral-I with the rational --a
 vectors of benchmark seeds 0 and 7 (at n = 5, and extended by one entry at
-n = 6), in all three formats; doubly-refined at n = 6 and 1..6 in json and
+n = 6), in all three formats; integral-A and both integral-U forms at
+n = 10..12 in json; doubly-refined at n = 6 and 1..6 in json and
 pretty; the involutions, mrr, zeilid and zprime suites at their cap
 n = 5 in json; the six-vertex and recursion suites at n = 5 and 6 in
 json; and the appendix-d suite over n = 5..7 at seed 11 in json.  The
 asm, nilp and doubly-refined digests at n = 6 and 7 were recorded from
-the brute enumeration those routes ran before their DPs; the zeilid and
-zprime n = 5 digests from the residue and sum routes as they stood when
-those limits were raised; the six-vertex and recursion digests at n = 5
-and 6 from the partition sum over every listed ASM that the row-state
-transfer replaced; the appendix-d n = 5..7 digest from the n!-term
-antisymmetrized sum that the subset DP replaced.  The enumerate command
+the brute enumeration those routes ran before their DPs; the integral-A
+and integral-U digests at n = 10..12 from the MultiPoly row expansion that
+the binomial row entries replaced; the zeilid and zprime n = 5 digests from
+the residue and sum routes as they stood when those limits were raised;
+the six-vertex and recursion digests at n = 5 and 6 from the partition
+sum over every listed ASM that the row-state transfer replaced; the
+appendix-d n = 5..7 digest from the n!-term antisymmetrized sum that the
+subset DP replaced.  The enumerate command
 is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats and at
 the benchmark's sizes (asm and nilp at n = 6) in json; the nilp digests were
 recorded from the occupied-site search that listed bundles before the
@@ -66,6 +69,10 @@ def report_cases():
     for v in bench:
         for fmt in ("json", "csv", "pretty"):
             cases.append(("genfun",) + v + ("--format", fmt))
+    for n in range(10, 13):
+        for v in (("integral-A",), ("integral-U", "--form", "raw"),
+                  ("integral-U", "--form", "after-u1")):
+            cases.append(("genfun", v[0], "--n", str(n)) + v[1:] + ("--format", "json"))
     for n in range(1, 8):
         variants = [("asm-tilde",), ("asm-reversed",),
                     ("nilp", "--i", "0", "--j", "1"), ("nilp", "--i", "1", "--j", str(n))]
@@ -650,6 +657,24 @@ DIGESTS = {
         "2f54d580b265e8a57e463622b06e0e6ec537341520fd244264870c776e16450b",
     "verify doubly-refined --n 1..6 --format pretty":
         "4477f340ee010a8bae035dcdc15246af984905b069b82489adfc99cc70806a14",
+    "genfun integral-A --n 10 --format json":
+        "09dc11f88b235e8e4e06b9f9b48dd42b3998c2ce530772792f645bdc8ac4a2df",
+    "genfun integral-U --n 10 --form raw --format json":
+        "ab7a2c99a7f0e118e4911eefa9756a16ca269fb4936dd6c646d62518a0083757",
+    "genfun integral-U --n 10 --form after-u1 --format json":
+        "ab7a2c99a7f0e118e4911eefa9756a16ca269fb4936dd6c646d62518a0083757",
+    "genfun integral-A --n 11 --format json":
+        "b94fc88e113d9dc9f2fe72e862f523ed1b7cb586493858e384acb3e92067bca5",
+    "genfun integral-U --n 11 --form raw --format json":
+        "4dddf933034c0b7927736d7edc23748579af35dac6cbdfb827bed940b30bc496",
+    "genfun integral-U --n 11 --form after-u1 --format json":
+        "4dddf933034c0b7927736d7edc23748579af35dac6cbdfb827bed940b30bc496",
+    "genfun integral-A --n 12 --format json":
+        "df7f29b44aa7d6a5ca85d38e4603b20304e747c4ed8e6e8e8ec978bcb05ab617",
+    "genfun integral-U --n 12 --form raw --format json":
+        "00c9539a10a899ed4a3e702f9f98f68405749a1f692451b1a55945c9674ec3e9",
+    "genfun integral-U --n 12 --form after-u1 --format json":
+        "00c9539a10a899ed4a3e702f9f98f68405749a1f692451b1a55945c9674ec3e9",
     "verify appendix-d --n 5..7 --seed 11 --format json":
         "a01cb5dae59381249aa2a5e1cf2560683760030bf2b11c1be0d7585ccbc620ff",
     "verify involutions --n 5 --format json":
