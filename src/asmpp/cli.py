@@ -11,14 +11,19 @@ carries the first counterexample in full), 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
+import operator
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from .algebra.poly import MultiPoly
-from .asm import enumerate_asms, genfun_doubly_refined
+from .asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
 from .contour import a_profile_y1y, integral_A, integral_I, integral_U
 from .genpoly import GenPoly
 from .lgv import lgv_genfun
@@ -108,42 +113,99 @@ def _csv_text(header, rows):
 
 # -- enumerate ----------------------------------------------------------------
 
+def _part_text(kind, fmt, part):
+    """The text of one part of an enumerated object in fmt: a row of an ASM or
+    of a TSSCPP's height array, or a bundle's path as (t, steps, extra)."""
+    if kind == "nilp":
+        t, steps, extra = part
+        if fmt == "json":
+            return _layout({"steps": steps, "extra": extra}, "\n        ")
+        if fmt == "csv":
+            return f"{steps}:{extra}"
+        return f"  path {t}: {steps or '(empty)'} extra={extra}"
+    if fmt == "json":
+        return _layout(part, "\n      ")
+    if fmt == "csv":
+        return " ".join(map(str, part))
+    return "  " + " ".join(f"{v:2d}" for v in part)
+
+
+def _write_objects(kind, n, count, fmt, fh):
+    """Write the enumerate report to fh one object at a time, each object
+    joined from part texts laid out once per call; returns the number of
+    objects enumerated.  The report's end is written only if that number is
+    count, which the head already carries."""
+    if kind == "nilp":
+        objects = enumerate_nilps(n)
+        parts = lambda p: zip(range(p.n), p.steps, p.extra)
+    elif kind == "asm":
+        objects, parts = enumerate_asms(n), operator.attrgetter("entries")
+    else:
+        objects, parts = enumerate_tsscpps(n), operator.attrgetter("heights")
+    text = functools.cache(functools.partial(_part_text, kind, fmt))
+    write = fh.write
+    if fmt == "json":  # each object as _layout lays it out at pad "\n    "
+        if kind == "nilp":
+            opener, sep, closer = '{\n      "paths": [\n        ', ",\n        ", "\n      ]\n    }"
+        else:
+            opener, sep, closer = "[\n      ", ",\n      ", "\n    ]"
+        head, end = _json_dumps({"schema": "v1", "command": "enumerate", "kind": kind,
+                                 "n": n, "objects": [], "count": count}
+                                ).split('"objects": []')
+        write(head + '"objects": [')
+        emit = lambda idx, body: write(("," if idx else "") + "\n    " + opener + body + closer)
+        end = "\n  ]" + end
+    elif fmt == "csv":
+        sep, writer = "|", csv.writer(fh)
+        writer.writerow(["index", kind])
+        emit = lambda idx, body: writer.writerow((idx, body))
+        end = f"# count,{count}\n"
+    else:
+        sep = "\n"
+        emit = lambda idx, body: write(f"[{idx}]\n{body}\n")
+        end = f"count: {count}\n"
+    enumerated = 0
+    for enumerated, obj in enumerate(objects, 1):
+        emit(enumerated - 1, sep.join(map(text, parts(obj))))
+    if enumerated == count:
+        write(end)
+    return enumerated
+
+
 def cmd_enumerate(args):
-    kind, n = args.kind, args.n
+    kind, n, out = args.kind, args.n, args.out
     limit = ENUM_LIMITS[kind]
     if not 1 <= n <= limit:
         raise UsageError(f"enumerate {kind} supports 1 <= n <= {limit} (got {n})")
-    if kind == "asm":
-        objects = [a.to_rows() for a in enumerate_asms(n)]
-    elif kind == "tsscpp":
-        objects = [t.to_rows() for t in enumerate_tsscpps(n)]
+    count = asm_count_formula(n)  # every kind numbers the size-n ASMs
+    if not out:
+        enumerated = _write_objects(kind, n, count, args.format, sys.stdout)
     else:
-        objects = [p.to_json_dict() for p in enumerate_nilps(n)]
-    count = len(objects)
-    if args.format == "json":
-        _emit(_json_dumps({"schema": "v1", "command": "enumerate", "kind": kind,
-                           "n": n, "objects": objects, "count": count}), args.out)
-    elif args.format == "csv":
-        rows = []
-        for idx, obj in enumerate(objects):
-            if kind == "nilp":
-                cell = "|".join(f"{p['steps']}:{p['extra']}" for p in obj["paths"])
-            else:
-                cell = "|".join(" ".join(str(v) for v in row) for row in obj)
-            rows.append([idx, cell])
-        _emit(_csv_text(["index", kind], rows) + f"# count,{count}\n", args.out)
-    else:
-        lines = []
-        for idx, obj in enumerate(objects):
-            lines.append(f"[{idx}]")
-            if kind == "nilp":
-                for t, p in enumerate(obj["paths"]):
-                    lines.append(f"  path {t}: {p['steps'] or '(empty)'} extra={p['extra']}")
-            else:
-                for row in obj:
-                    lines.append("  " + " ".join(f"{v:2d}" for v in row))
-        lines.append(f"count: {count}")
-        _emit("\n".join(lines) + "\n", args.out)
+        # a temporary file beside the target, renamed over it only when the
+        # report is whole: a failed run leaves the target as it was
+        if os.path.isdir(out):
+            raise UsageError(f"cannot write {out}: Is a directory")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                enumerated = _write_objects(kind, n, count, args.format, fh)
+            if enumerated == count:
+                umask = os.umask(0o22)
+                os.umask(umask)
+                os.chmod(tmp, 0o666 & ~umask)  # the mode open(out, "w") gives
+                os.replace(tmp, out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}")
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+    if enumerated != count:
+        print(f"error: enumerated {enumerated} objects, expected A_{n} = {count}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,21 +1,24 @@
 import csv
+import io
+import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asmpp import verify
+from asmpp import cli, verify
 from asmpp.asm import enumerate_asms
 from asmpp.cli import _json_dumps, main
 from asmpp.nilp import enumerate_nilps
-from asmpp.tsscpp import nilp_to_tsscpp
+from asmpp.tsscpp import enumerate_tsscpps, nilp_to_tsscpp
 
 
 def run_cli(*argv):
-    import io
-    from contextlib import redirect_stdout
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
@@ -47,6 +50,139 @@ def test_enumerate_nilp_and_tsscpp():
 def test_enumerate_limit_is_refused():
     code, _ = run_cli("enumerate", "asm", "--n", "9")
     assert code == 2
+
+
+# -- enumerate streams its report -----------------------------------------------
+
+GENERATORS = {"asm": "enumerate_asms", "nilp": "enumerate_nilps",
+              "tsscpp": "enumerate_tsscpps"}
+
+
+def _in_memory_report(kind, n, fmt):
+    """The enumerate report as it was built before it streamed: every object
+    copied into nested lists, then the whole report as one string."""
+    if kind == "asm":
+        objects = [a.to_rows() for a in enumerate_asms(n)]
+    elif kind == "tsscpp":
+        objects = [t.to_rows() for t in enumerate_tsscpps(n)]
+    else:
+        objects = [p.to_json_dict() for p in enumerate_nilps(n)]
+    count = len(objects)
+    if fmt == "json":
+        return _json_dumps({"schema": "v1", "command": "enumerate", "kind": kind,
+                            "n": n, "objects": objects, "count": count})
+    if fmt == "csv":
+        rows = []
+        for idx, obj in enumerate(objects):
+            if kind == "nilp":
+                cell = "|".join(f"{p['steps']}:{p['extra']}" for p in obj["paths"])
+            else:
+                cell = "|".join(" ".join(str(v) for v in row) for row in obj)
+            rows.append([idx, cell])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["index", kind])
+        writer.writerows(rows)
+        return buf.getvalue() + f"# count,{count}\n"
+    lines = []
+    for idx, obj in enumerate(objects):
+        lines.append(f"[{idx}]")
+        if kind == "nilp":
+            for t, p in enumerate(obj["paths"]):
+                lines.append(f"  path {t}: {p['steps'] or '(empty)'} extra={p['extra']}")
+        else:
+            for row in obj:
+                lines.append("  " + " ".join(f"{v:2d}" for v in row))
+    lines.append(f"count: {count}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("kind, n", [
+    *((kind, n) for kind in GENERATORS for n in range(1, 6)), ("asm", 6), ("nilp", 6),
+])
+def test_streamed_report_equals_the_in_memory_report(kind, n, fmt):
+    code, out = run_cli("enumerate", kind, "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert out == _in_memory_report(kind, n, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("kind", list(GENERATORS))
+def test_report_is_written_before_the_last_object(monkeypatch, kind, fmt):
+    name = GENERATORS[kind]
+    full = getattr(cli, name)
+    buf = io.StringIO()
+    seen = []
+
+    def late(n):
+        objects = list(full(n))
+        yield from objects[:-1]
+        seen.append(buf.getvalue())
+        yield objects[-1]
+    monkeypatch.setattr(cli, name, late)
+    with redirect_stdout(buf):
+        code = main(["enumerate", kind, "--n", "4", "--format", fmt])
+    out = buf.getvalue()
+    assert code == 0 and out == _in_memory_report(kind, 4, fmt)
+    # 42 objects: all but the last are out before it is enumerated
+    assert out.startswith(seen[0]) and len(seen[0]) > 0.9 * len(out)
+
+
+@pytest.mark.parametrize("change", ["drop", "extra"])
+@pytest.mark.parametrize("kind", ["asm", "nilp"])
+def test_a_wrong_object_count_exits_1(monkeypatch, capsys, tmp_path, kind, change):
+    name = GENERATORS[kind]
+    full = getattr(cli, name)
+    if change == "drop":
+        monkeypatch.setattr(cli, name, lambda n: itertools.islice(full(n), 1, None))
+        got = 41
+    else:
+        monkeypatch.setattr(cli, name, lambda n: itertools.chain(full(n), full(n)))
+        got = 84
+    argv = ["enumerate", kind, "--n", "4"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: enumerated {got} objects, expected A_4 = 42\n"
+    with pytest.raises(json.JSONDecodeError):  # the report's end is not written
+        json.loads(captured.out)
+    # with --out nothing is left behind, and a file at the target keeps its text
+    target = tmp_path / "report.json"
+    assert main(argv + ["--out", str(target)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("earlier\n")
+    assert main(argv + ["--out", str(target)]) == 1
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "earlier\n"
+    assert capsys.readouterr().err.count("error: enumerated") == 2
+
+
+def test_unwritable_out_exits_2_before_enumerating(monkeypatch, capsys, tmp_path):
+    def refuse(n):
+        raise AssertionError("enumerated before --out was checked")
+    for name in GENERATORS.values():
+        monkeypatch.setattr(cli, name, refuse)
+    for kind in GENERATORS:
+        for out in (tmp_path / "missing" / "report.json", tmp_path):
+            assert main(["enumerate", kind, "--n", "3", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_file_replaces_the_target_with_the_stdout_report(tmp_path):
+    target = tmp_path / "report.csv"
+    target.write_text("earlier\n")
+    code, out = run_cli("enumerate", "nilp", "--n", "4", "--format", "csv")
+    assert code == 0
+    assert run_cli("enumerate", "nilp", "--n", "4", "--format", "csv",
+                   "--out", str(target)) == (0, "")
+    with open(target, encoding="utf-8", newline="") as fh:  # csv's "\r\n" kept
+        assert fh.read() == out
+    assert list(tmp_path.iterdir()) == [target]
+    umask = os.umask(0o22)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 def test_genfun_routes_agree():
@@ -113,7 +249,7 @@ def test_verify_unknown_suite_or_bad_range():
     (("verify", "doubly-refined", "--n", "10"), 9),
     (("verify", "even-partitions", "--n", "6"), 5),
     (("verify", "dyck", "--n", "7"), 6),
-    (("verify", "wheel", "--n", "6"), 5),
+    (("verify", "wheel", "--n", "9"), 8),
     (("verify", "zprime", "--n", "6"), 5),
     (("verify", "six-vertex", "--n", "7"), 6),
     (("verify", "bijections", "--n", "6"), 5),
@@ -129,7 +265,7 @@ def test_counting_route_caps(argv, cap, capsys):
 
 
 @pytest.mark.parametrize("suite, cap, total", [
-    ("dyck", 6, 132), ("wheel", 5, 20), ("zprime", 5, 20), ("six-vertex", 6, 10),
+    ("dyck", 6, 132), ("wheel", 8, 20), ("zprime", 5, 20), ("six-vertex", 6, 10),
 ])
 def test_q3_suites_pass_at_their_cap(suite, cap, total):
     code, out = run_cli("verify", suite, "--n", str(cap))
@@ -234,8 +370,7 @@ FUZZ_OPTIONS = st.lists(st.sampled_from(sorted(FUZZ_VALUES)).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(FUZZ_COMMANDS, FUZZ_N, FUZZ_OPTIONS)
 def test_fuzzed_arguments_keep_the_exit_code_contract(command, n, options):
-    import io
-    from contextlib import redirect_stderr, redirect_stdout
+    from contextlib import redirect_stderr
     argv = [*command, *n, *(token for option in options for token in option)]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

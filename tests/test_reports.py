@@ -22,10 +22,13 @@ the six-vertex and recursion digests at n = 5 and 6 from the partition
 sum over every listed ASM that the row-state transfer replaced; the
 appendix-d n = 5..7 digest from the n!-term antisymmetrized sum that the
 subset DP replaced.  The enumerate command
-is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats and at
-the benchmark's sizes (asm and nilp at n = 6) in json; the nilp digests were
-recorded from the occupied-site search that listed bundles before the
-profile walk.  A change that keeps these digests keeps the reports
+is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats, for
+asm and nilp at n = 6 (the benchmark's size) in all three formats and for
+tsscpp at n = 6 in json; the nilp digests were recorded from the
+occupied-site search that listed bundles before the profile walk, and the
+csv, pretty and tsscpp digests at n = 6 from the report built in memory
+before it was streamed.  The wheel suite is pinned at n = 6, 7 and 8
+(seed 11, json), recorded with the limit lifted before it was raised.  A change that keeps these digests keeps the reports
 byte-identical.
 """
 
@@ -96,7 +99,11 @@ def report_cases():
             for fmt in ("json", "csv", "pretty"):
                 cases.append(("enumerate", kind, "--n", str(n), "--format", fmt))
     for kind in ("asm", "nilp"):
-        cases.append(("enumerate", kind, "--n", "6", "--format", "json"))
+        for fmt in ("json", "csv", "pretty"):
+            cases.append(("enumerate", kind, "--n", "6", "--format", fmt))
+    cases.append(("enumerate", "tsscpp", "--n", "6", "--format", "json"))
+    for n in ("6", "7", "8"):
+        cases.append(("verify", "wheel", "--n", n, "--seed", "11", "--format", "json"))
     return cases
 
 
@@ -787,4 +794,20 @@ DIGESTS = {
         "3450d1911b97252607d704d2364076d90407207b9e21b37559768bff89eb1d71",
     "enumerate nilp --n 6 --format json":
         "ee25ca8cf00474dba74201d242e4642ab992f4a72db85ad8895aa121cea0dab7",
+    "enumerate asm --n 6 --format csv":
+        "2f0b6552ea1749e12e37c82851ff2eeca8d3ce289fc1e7fefd064f10b05c28a0",
+    "enumerate asm --n 6 --format pretty":
+        "80a59e861c7d7ee90e7ac7ea1b287894eebcb9e737cec9d4005187a6e7c2ac48",
+    "enumerate nilp --n 6 --format csv":
+        "4f4e733249a750c942ecf306ac4fc4b5c157221e1466c3e898d35e4332f44e72",
+    "enumerate nilp --n 6 --format pretty":
+        "95647a5ce07a3ecc5111c580abe5f0bf29d9baa0218caf06b165294db6890501",
+    "enumerate tsscpp --n 6 --format json":
+        "b74018fb6e61a405358537e38357b95ba2af9a994e295ad1eabf500cabba4833",
+    "verify wheel --n 6 --seed 11 --format json":
+        "b4d39ddf9693915cd3d5c65dc6e283e0fba8214ff9a5f2d570dfd1d2b42f4b81",
+    "verify wheel --n 7 --seed 11 --format json":
+        "9e0b87ad9717353370d4813a66d069d7eaaf06b2acc0987f2862b44d5628080a",
+    "verify wheel --n 8 --seed 11 --format json":
+        "6e38f0ec4130a4d7b1ef1ff50c2f329cb8d413f6f1ede874d31fe8d157b7d402",
 }
