@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import operator
 import os
@@ -42,6 +41,10 @@ class UsageError(Exception):
     pass
 
 
+class CountError(Exception):
+    """The enumeration yielded other than A_n objects: exit 1."""
+
+
 def _parse_n_range(text):
     try:
         if ".." in text:
@@ -53,78 +56,56 @@ def _parse_n_range(text):
         raise UsageError(f"--n must be N or A..B with integers (got {text!r})")
 
 
-def _emit(text, out):
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-_encode_scalar = json.JSONEncoder().encode
-
-
-def _json_dumps(payload):
-    """`json.dumps(payload, sort_keys=True, indent=2)` and a newline, byte for
-    byte.  With `indent` set, json.dumps runs its pure-Python encoder once
-    per container and int; here the containers are laid out by hand and
-    every string and scalar goes to json's C encoder."""
-    return _layout(payload, "\n") + "\n"
-
-
-def _layout(obj, pad):
-    """The indented JSON text of obj, each line break followed by pad."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        if all(type(v) is int for v in obj):  # not bool: int.__repr__(True) is "1"
-            items = map(int.__repr__, obj)
+def _write_report(out, fill):
+    """Call fill on the text handle the report goes to: stdout, or for --out
+    a temporary file beside the resolved target, which replaces the target
+    only once fill has returned, so a failed run leaves it as it was.  A
+    target that exists but is no regular file (a pipe, a device) is written
+    in place, as stdout is."""
+    target = os.path.realpath(out) if out else None
+    tmp = None
+    try:
+        if not out:
+            fill(sys.stdout)
+            sys.stdout.flush()
+        elif os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", encoding="utf-8") as fh:
+                fill(fh)
         else:
-            items = [_layout(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(type(k) is str for k in obj):
-            # json's own key coercion and errors; a JSON string holds no raw
-            # newline, so every "\n" is a line break
-            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _layout(obj[k], inner) for k in sorted(obj)]
-        ) + pad + "}"
-    return _encode_scalar(obj)
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+            with open(fd, "w", encoding="utf-8") as fh:
+                fill(fh)
+            umask = os.umask(0o22)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open(out, "w") gives
+            os.replace(tmp, target)
+    except OSError as exc:
+        if not out:  # Python flushes stdout again at exit: let that go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {out or '<stdout>'}: {exc.strerror}")
+    finally:
+        if tmp:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 # -- enumerate ----------------------------------------------------------------
 
 def _part_text(kind, fmt, part):
     """The text of one part of an enumerated object in fmt: a row of an ASM or
-    of a TSSCPP's height array, or a bundle's path as (t, steps, extra)."""
+    of a TSSCPP's height array, or a bundle's path as (t, steps, extra).  A
+    json part is indented to its depth in the report by its line breaks:
+    json.dumps escapes every newline inside a string."""
     if kind == "nilp":
         t, steps, extra = part
         if fmt == "json":
-            return _layout({"steps": steps, "extra": extra}, "\n        ")
+            return json.dumps({"steps": steps, "extra": extra}, sort_keys=True,
+                              indent=2).replace("\n", "\n        ")
         if fmt == "csv":
             return f"{steps}:{extra}"
         return f"  path {t}: {steps or '(empty)'} extra={extra}"
     if fmt == "json":
-        return _layout(part, "\n      ")
+        return json.dumps(part, sort_keys=True, indent=2).replace("\n", "\n      ")
     if fmt == "csv":
         return " ".join(map(str, part))
     return "  " + " ".join(f"{v:2d}" for v in part)
@@ -132,9 +113,9 @@ def _part_text(kind, fmt, part):
 
 def _write_objects(kind, n, count, fmt, fh):
     """Write the enumerate report to fh one object at a time, each object
-    joined from part texts laid out once per call; returns the number of
-    objects enumerated.  The report's end is written only if that number is
-    count, which the head already carries."""
+    joined from part texts laid out once per call.  The report's end is
+    written only if count objects were enumerated, the count its head
+    already carries; otherwise CountError is raised."""
     if kind == "nilp":
         objects = enumerate_nilps(n)
         parts = lambda p: zip(range(p.n), p.steps, p.extra)
@@ -144,17 +125,17 @@ def _write_objects(kind, n, count, fmt, fh):
         objects, parts = enumerate_tsscpps(n), operator.attrgetter("heights")
     text = functools.cache(functools.partial(_part_text, kind, fmt))
     write = fh.write
-    if fmt == "json":  # each object as _layout lays it out at pad "\n    "
+    if fmt == "json":  # each object as json.dumps lays it out inside "objects"
         if kind == "nilp":
             opener, sep, closer = '{\n      "paths": [\n        ', ",\n        ", "\n      ]\n    }"
         else:
             opener, sep, closer = "[\n      ", ",\n      ", "\n    ]"
-        head, end = _json_dumps({"schema": "v1", "command": "enumerate", "kind": kind,
-                                 "n": n, "objects": [], "count": count}
-                                ).split('"objects": []')
+        head, end = json.dumps({"schema": "v1", "command": "enumerate", "kind": kind,
+                                "n": n, "objects": [], "count": count},
+                               sort_keys=True, indent=2).split('"objects": []')
         write(head + '"objects": [')
         emit = lambda idx, body: write(("," if idx else "") + "\n    " + opener + body + closer)
-        end = "\n  ]" + end
+        end = "\n  ]" + end + "\n"
     elif fmt == "csv":
         sep, writer = "|", csv.writer(fh)
         writer.writerow(["index", kind])
@@ -167,45 +148,18 @@ def _write_objects(kind, n, count, fmt, fh):
     enumerated = 0
     for enumerated, obj in enumerate(objects, 1):
         emit(enumerated - 1, sep.join(map(text, parts(obj))))
-    if enumerated == count:
-        write(end)
-    return enumerated
+    if enumerated != count:
+        raise CountError(f"enumerated {enumerated} objects, expected A_{n} = {count}")
+    write(end)
 
 
 def cmd_enumerate(args):
-    kind, n, out = args.kind, args.n, args.out
+    kind, n = args.kind, args.n
     limit = ENUM_LIMITS[kind]
     if not 1 <= n <= limit:
         raise UsageError(f"enumerate {kind} supports 1 <= n <= {limit} (got {n})")
     count = asm_count_formula(n)  # every kind numbers the size-n ASMs
-    if not out:
-        enumerated = _write_objects(kind, n, count, args.format, sys.stdout)
-    else:
-        # a temporary file beside the target, renamed over it only when the
-        # report is whole: a failed run leaves the target as it was
-        if os.path.isdir(out):
-            raise UsageError(f"cannot write {out}: Is a directory")
-        try:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".")
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}")
-        try:
-            with open(fd, "w", encoding="utf-8") as fh:
-                enumerated = _write_objects(kind, n, count, args.format, fh)
-            if enumerated == count:
-                umask = os.umask(0o22)
-                os.umask(umask)
-                os.chmod(tmp, 0o666 & ~umask)  # the mode open(out, "w") gives
-                os.replace(tmp, out)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}")
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-    if enumerated != count:
-        print(f"error: enumerated {enumerated} objects, expected A_{n} = {count}",
-              file=sys.stderr)
-        return 1
+    _write_report(args.out, functools.partial(_write_objects, kind, n, count, args.format))
     return 0
 
 
@@ -274,22 +228,23 @@ def cmd_genfun(args):
         labels = labels[:2]
     matrix = poly.coefficient_matrix()
     if args.format == "json":
-        _emit(_json_dumps({
+        text = json.dumps({
             "schema": "v1", "command": "genfun", "route": route, "n": n,
             "variables": list(labels), "polynomial": str(poly),
             "coefficients": poly.to_json_dict(), "matrix": matrix,
             "total": poly.total(),
-        }), args.out)
+        }, sort_keys=True, indent=2) + "\n"
+        _write_report(args.out, lambda fh: fh.write(text))
     elif args.format == "csv":
         width = len(matrix[0]) if matrix else 0  # a zero polynomial has no rows
         header = [f"{labels[0]}\\{labels[1]}"] + [str(j) for j in range(width)]
-        rows = [[i] + row for i, row in enumerate(matrix)]
-        _emit(_csv_text(header, rows), args.out)
+        rows = [header] + [[i] + row for i, row in enumerate(matrix)]
+        _write_report(args.out, lambda fh: csv.writer(fh).writerows(rows))
     else:
         lines = [f"{route}  n={n}", str(poly), f"total = {poly.total()}", ""]
         for i, row in enumerate(matrix):
             lines.append(" ".join(f"{v:4d}" for v in row))
-        _emit("\n".join(lines) + "\n", args.out)
+        _write_report(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
     return 0
 
 
@@ -320,15 +275,16 @@ def cmd_verify(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "json":
-        _emit(_json_dumps(report), args.out)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        _write_report(args.out, lambda fh: fh.write(text))
     elif args.format == "csv":
-        rows = []
+        rows = [["check", "n", "expected", "got", "pass"]]
         for c in report["checks"]:
             rows.append([c["check"], c["n"], c.get("expected", ""), c.get("got", ""),
                          c["pass"]])
             if not c["pass"] and "witness" in c:
                 rows.append(["# witness", json.dumps(c["witness"], sort_keys=True)])
-        _emit(_csv_text(["check", "n", "expected", "got", "pass"], rows), args.out)
+        _write_report(args.out, lambda fh: csv.writer(fh).writerows(rows))
     else:
         lines = [f"suite {suite}  n={report['n_range'][0]}..{report['n_range'][1]}"
                  f"  seed={report['seed']}"]
@@ -341,7 +297,7 @@ def cmd_verify(args):
                 if "witness" in c:
                     lines.append(f"         witness  {json.dumps(c['witness'], sort_keys=True)}")
         lines.append(f"{report['total'] - report['failures']}/{report['total']} checks passed")
-        _emit("\n".join(lines) + "\n", args.out)
+        _write_report(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
     return 0 if report["pass"] else 1
 
 
@@ -397,9 +353,9 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, CountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stdout
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from asmpp import cli, verify
 from asmpp.asm import enumerate_asms
-from asmpp.cli import _json_dumps, main
+from asmpp.cli import main
 from asmpp.nilp import enumerate_nilps
 from asmpp.tsscpp import enumerate_tsscpps, nilp_to_tsscpp
 
@@ -69,8 +70,9 @@ def _in_memory_report(kind, n, fmt):
         objects = [p.to_json_dict() for p in enumerate_nilps(n)]
     count = len(objects)
     if fmt == "json":
-        return _json_dumps({"schema": "v1", "command": "enumerate", "kind": kind,
-                            "n": n, "objects": objects, "count": count})
+        return json.dumps({"schema": "v1", "command": "enumerate", "kind": kind,
+                           "n": n, "objects": objects, "count": count},
+                          sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         rows = []
         for idx, obj in enumerate(objects):
@@ -156,33 +158,93 @@ def test_a_wrong_object_count_exits_1(monkeypatch, capsys, tmp_path, kind, chang
     assert capsys.readouterr().err.count("error: enumerated") == 2
 
 
+# -- --out: one writer for every command -----------------------------------------
+
+OUT_ARGVS = [
+    ("enumerate", "nilp", "--n", "4", "--format", "csv"),
+    ("genfun", "asm-tilde", "--n", "4", "--format", "csv"),
+    ("verify", "bijections", "--n", "1..3"),
+    ("verify", "dyck", "--n", "1..2", "--format", "pretty"),
+]
+
+
 def test_unwritable_out_exits_2_before_enumerating(monkeypatch, capsys, tmp_path):
+    """enumerate checks --out before its first object; genfun and verify,
+    which write their report once it is computed, exit 2 as well."""
     def refuse(n):
         raise AssertionError("enumerated before --out was checked")
     for name in GENERATORS.values():
         monkeypatch.setattr(cli, name, refuse)
-    for kind in GENERATORS:
+    argvs = [("enumerate", kind, "--n", "3") for kind in GENERATORS] + OUT_ARGVS[1:]
+    for argv in argvs:
         for out in (tmp_path / "missing" / "report.json", tmp_path):
-            assert main(["enumerate", kind, "--n", "3", "--out", str(out)]) == 2
+            assert main([*argv, "--out", str(out)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: cannot write {out}: ")
+            if out == tmp_path:
+                assert captured.err.endswith(": Is a directory\n")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_out_file_replaces_the_target_with_the_stdout_report(tmp_path):
     target = tmp_path / "report.csv"
-    target.write_text("earlier\n")
-    code, out = run_cli("enumerate", "nilp", "--n", "4", "--format", "csv")
-    assert code == 0
-    assert run_cli("enumerate", "nilp", "--n", "4", "--format", "csv",
-                   "--out", str(target)) == (0, "")
-    with open(target, encoding="utf-8", newline="") as fh:  # csv's "\r\n" kept
-        assert fh.read() == out
-    assert list(tmp_path.iterdir()) == [target]
     umask = os.umask(0o22)
     os.umask(umask)
-    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    for argv in OUT_ARGVS:
+        target.write_text("earlier\n")
+        target.chmod(0o600)
+        code, out = run_cli(*argv)
+        assert code == 0
+        assert run_cli(*argv, "--out", str(target)) == (0, ""), argv
+        with open(target, encoding="utf-8", newline="") as fh:  # csv's "\r\n" kept
+            assert fh.read() == out, argv
+        assert list(tmp_path.iterdir()) == [target]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    (tmp_path / "reports").mkdir()
+    target, link = tmp_path / "reports" / "report.txt", tmp_path / "link"
+    link.symlink_to(target)  # dangling until the first report is written
+    for argv in OUT_ARGVS:
+        code, out = run_cli(*argv)
+        assert run_cli(*argv, "--out", str(link)) == (code, ""), argv
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        with open(target, encoding="utf-8", newline="") as fh:
+            assert fh.read() == out, argv
+        assert list((tmp_path / "reports").iterdir()) == [target]
+
+
+def test_out_into_a_pipe_writes_it_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    for argv in OUT_ARGVS:
+        code, out = run_cli(*argv)
+        got = []
+
+        def drain():
+            with open(fifo, encoding="utf-8", newline="") as fh:
+                got.append(fh.read())
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        assert run_cli(*argv, "--out", str(fifo)) == (code, ""), argv
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == [out], argv
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asmpp.cli", "enumerate", "asm", "--n", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.read(100).startswith("{")
+    proc.stdout.close()  # the report is about 1 MB, well past a pipe's buffer
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == "error: cannot write <stdout>: Broken pipe\n"
 
 
 def test_genfun_routes_agree():
@@ -426,7 +488,7 @@ def _failed_checks(argv):
 
 
 @pytest.mark.parametrize("picks", [(5,), (2, 5)])
-def test_bijection_failure_names_the_first_broken_asm(monkeypatch, picks):
+def test_bijection_failure_names_the_first_broken_asm(monkeypatch, tmp_path, picks):
     from asmpp import sixvertex
     asms = list(enumerate_asms(3))
     _break(monkeypatch, sixvertex, "six_vertex_to_asm",
@@ -437,6 +499,9 @@ def test_bijection_failure_names_the_first_broken_asm(monkeypatch, picks):
     reports = _recorded_reports(monkeypatch)
     code, out = run_cli("verify", "bijections", "--n", "3")
     assert code == 1 and out == _reference(reports[-1])
+    target = tmp_path / "report.json"  # a failing run's report is whole: --out keeps it
+    assert run_cli("verify", "bijections", "--n", "3", "--out", str(target)) == (1, "")
+    assert target.read_text() == out
     code, out = run_cli("verify", "bijections", "--n", "3", "--format", "pretty")
     assert code == 1
     lines = out.splitlines()
@@ -506,55 +571,10 @@ def test_mrr_witness_belongs_to_the_failing_check(monkeypatch):
     assert "witness" not in checks["array-vs-path-statistics"]
 
 
-# -- JSON reports: byte-equal to json.dumps, never its Python encoder ---------
+# -- JSON reports --------------------------------------------------------------
 
 def _reference(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _outcome(dump, payload):
-    try:
-        return dump(payload)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-JSON_TEXT = st.text() | st.sampled_from(
-    ['"', "\\", '\\"', "\n\t\x00\x1f\x7f", "é", "\u2028", "\ud800", "😀", ""])
-JSON_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
-JSON_SCALARS = st.none() | st.booleans() | JSON_INTS | JSON_TEXT
-
-
-def _json_values(keys, leaves):
-    return st.recursive(
-        leaves | st.lists(JSON_INTS | st.booleans()),
-        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                       | st.dictionaries(keys, inner, max_size=4)),
-        max_leaves=30)
-
-
-def _deep(values):
-    """A value nested five containers deep, at least."""
-    return st.builds(lambda v, k: {k: [({k: [[v]]},)]}, values, JSON_TEXT)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_json_values(JSON_TEXT, JSON_SCALARS) | _deep(_json_values(JSON_TEXT, JSON_SCALARS)))
-def test_json_writer_is_byte_equal_to_json_dumps(payload):
-    assert _json_dumps(payload) == _reference(payload)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_json_values(JSON_TEXT | JSON_INTS | st.booleans() | st.none(),
-                    JSON_SCALARS | st.fractions() | st.just(frozenset())))
-def test_json_writer_coerces_keys_and_refuses_values_as_json_dumps(payload):
-    """Non-str keys are coerced, and mixed keys or unknown values raise, as
-    json.dumps does them."""
-    assert _outcome(_json_dumps, payload) == _outcome(_reference, payload)
-
-
-def test_json_writer_keeps_bools_out_of_int_lists():
-    assert _json_dumps([1, True]) == "[\n  1,\n  true\n]\n"
 
 
 def _recorded_reports(monkeypatch):
@@ -569,22 +589,17 @@ def _recorded_reports(monkeypatch):
     return reports
 
 
-def test_no_json_report_reaches_the_python_encoder(monkeypatch):
-    """json.dumps with an indent runs json.encoder._make_iterencode, the
-    pure-Python encoder; no report, passing or failing, may need it."""
-    from asmpp import sixvertex
+def test_enumerate_lays_out_each_distinct_row_once(monkeypatch):
+    """One json.dumps for the head and one per distinct row, not one per
+    ASM: 429 objects share far fewer rows."""
+    real, calls = json.dumps, []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("json's pure-Python encoder was used")
-    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-    with pytest.raises(AssertionError):
-        json.dumps([1], indent=2)
-    for argv in ("enumerate asm --n 3", "enumerate nilp --n 3", "enumerate tsscpp --n 3",
-                 "genfun asm-tilde --n 4", "verify doubly-refined --n 1..3"):
-        code, out = run_cli(*argv.split())
-        assert code == 0 and json.loads(out), argv
-    asm = list(enumerate_asms(3))[5]
-    _break(monkeypatch, sixvertex, "six_vertex_to_asm", [sixvertex.asm_to_six_vertex(asm)])
-    code, out = run_cli("verify", "bijections", "--n", "3")
-    assert code == 1
-    assert [c["witness"] for c in json.loads(out)["checks"] if not c["pass"]] == [asm.to_rows()]
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    rows = {row for asm in enumerate_asms(5) for row in asm.entries}
+    monkeypatch.setattr(json, "dumps", counted)
+    code, out = run_cli("enumerate", "asm", "--n", "5", "--format", "json")
+    monkeypatch.undo()
+    assert code == 0 and json.loads(out)["count"] == 429
+    assert 0 < len(calls) <= len(rows) + 1
