@@ -57,28 +57,31 @@ def _parse_n_range(text):
 
 
 def _write_report(out, fill):
-    """Call fill on the text handle the report goes to: stdout, or for --out
-    a temporary file beside the resolved target, which replaces the target
-    only once fill has returned, so a failed run leaves it as it was.  A
-    target that exists but is no regular file (a pipe, a device) is written
-    in place, as stdout is."""
+    """Call fill on the text handle the report goes to, and return what it
+    returns: stdout, or for --out a temporary file beside the resolved
+    target, which replaces the target only once fill has returned, so a
+    failed run leaves it as it was.  A target that exists but is no regular
+    file (a pipe, a device) is written in place, as stdout is.  Every command
+    computes its report inside fill, so an unwritable --out is reported
+    before any work is done."""
     target = os.path.realpath(out) if out else None
     tmp = None
     try:
         if not out:
-            fill(sys.stdout)
+            result = fill(sys.stdout)
             sys.stdout.flush()
         elif os.path.exists(target) and not os.path.isfile(target):
             with open(target, "w", encoding="utf-8") as fh:
-                fill(fh)
+                result = fill(fh)
         else:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
             with open(fd, "w", encoding="utf-8") as fh:
-                fill(fh)
+                result = fill(fh)
             umask = os.umask(0o22)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)  # the mode open(out, "w") gives
             os.replace(tmp, target)
+        return result
     except OSError as exc:
         if not out:  # Python flushes stdout again at exit: let that go nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -204,47 +207,51 @@ def cmd_genfun(args):
         raise UsageError(f"genfun {route} supports 1 <= n <= {limit} (got {n})")
     if route == "nilp" and not (0 <= args.i <= n and 0 <= args.j <= n):
         raise UsageError(f"statistic indices must lie in [0, {n}]")
-    labels = ("x", "y")
-    if route == "asm-tilde":
-        poly = genfun_doubly_refined(n, "tilde")
-    elif route == "asm-reversed":
-        poly = genfun_doubly_refined(n, "reversed")
-    elif route == "nilp":
-        poly = genfun_U(n, args.i, args.j)
-    elif route == "integral-A":
-        poly = integral_A(n)
-    elif route == "integral-U":
-        poly = integral_U(n, args.form)
-    elif route == "integral-I":
-        poly = integral_I(n, _parse_avec(args.a, n))
-    else:  # lgv
+    if route == "integral-I":
+        avec = _parse_avec(args.a, n)
+    elif route == "lgv":
         weights, symbols = _parse_weights(args.weights or ",".join(["1"] * n), n)
-        result = lgv_genfun(n, weights)
-        try:
-            poly = GenPoly.from_poly(result)
-        except ValueError as exc:
-            raise UsageError(f"lgv {exc}; the weights must give integer counts")
-        labels = tuple(symbols) + ("x", "y")[len(symbols):]
-        labels = labels[:2]
-    matrix = poly.coefficient_matrix()
-    if args.format == "json":
-        text = json.dumps({
-            "schema": "v1", "command": "genfun", "route": route, "n": n,
-            "variables": list(labels), "polynomial": str(poly),
-            "coefficients": poly.to_json_dict(), "matrix": matrix,
-            "total": poly.total(),
-        }, sort_keys=True, indent=2) + "\n"
-        _write_report(args.out, lambda fh: fh.write(text))
-    elif args.format == "csv":
-        width = len(matrix[0]) if matrix else 0  # a zero polynomial has no rows
-        header = [f"{labels[0]}\\{labels[1]}"] + [str(j) for j in range(width)]
-        rows = [header] + [[i] + row for i, row in enumerate(matrix)]
-        _write_report(args.out, lambda fh: csv.writer(fh).writerows(rows))
-    else:
-        lines = [f"{route}  n={n}", str(poly), f"total = {poly.total()}", ""]
-        for i, row in enumerate(matrix):
-            lines.append(" ".join(f"{v:4d}" for v in row))
-        _write_report(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
+
+    def fill(fh):
+        labels = ("x", "y")
+        if route == "asm-tilde":
+            poly = genfun_doubly_refined(n, "tilde")
+        elif route == "asm-reversed":
+            poly = genfun_doubly_refined(n, "reversed")
+        elif route == "nilp":
+            poly = genfun_U(n, args.i, args.j)
+        elif route == "integral-A":
+            poly = integral_A(n)
+        elif route == "integral-U":
+            poly = integral_U(n, args.form)
+        elif route == "integral-I":
+            poly = integral_I(n, avec)
+        else:  # lgv
+            result = lgv_genfun(n, weights)
+            try:
+                poly = GenPoly.from_poly(result)
+            except ValueError as exc:
+                raise UsageError(f"lgv {exc}; the weights must give integer counts")
+            labels = (tuple(symbols) + labels[len(symbols):])[:2]
+        matrix = poly.coefficient_matrix()
+        if args.format == "json":
+            fh.write(json.dumps({
+                "schema": "v1", "command": "genfun", "route": route, "n": n,
+                "variables": list(labels), "polynomial": str(poly),
+                "coefficients": poly.to_json_dict(), "matrix": matrix,
+                "total": poly.total(),
+            }, sort_keys=True, indent=2) + "\n")
+        elif args.format == "csv":
+            width = len(matrix[0]) if matrix else 0  # a zero polynomial has no rows
+            header = [f"{labels[0]}\\{labels[1]}"] + [str(j) for j in range(width)]
+            csv.writer(fh).writerows([header] + [[i] + row for i, row in enumerate(matrix)])
+        else:
+            lines = [f"{route}  n={n}", str(poly), f"total = {poly.total()}", ""]
+            for i, row in enumerate(matrix):
+                lines.append(" ".join(f"{v:4d}" for v in row))
+            fh.write("\n".join(lines) + "\n")
+
+    _write_report(args.out, fill)
     return 0
 
 
@@ -269,36 +276,39 @@ def cmd_verify(args):
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     n_range = _parse_n_range(args.n) if args.n else None
-    try:
-        report = run_verify(suite, n_range=n_range, seed=args.seed,
-                            samples=args.samples, workers=args.workers)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        _write_report(args.out, lambda fh: fh.write(text))
-    elif args.format == "csv":
-        rows = [["check", "n", "expected", "got", "pass"]]
-        for c in report["checks"]:
-            rows.append([c["check"], c["n"], c.get("expected", ""), c.get("got", ""),
-                         c["pass"]])
-            if not c["pass"] and "witness" in c:
-                rows.append(["# witness", json.dumps(c["witness"], sort_keys=True)])
-        _write_report(args.out, lambda fh: csv.writer(fh).writerows(rows))
-    else:
-        lines = [f"suite {suite}  n={report['n_range'][0]}..{report['n_range'][1]}"
-                 f"  seed={report['seed']}"]
-        for c in report["checks"]:
-            mark = "ok  " if c["pass"] else "FAIL"
-            lines.append(f"  [{mark}] {c['check']} n={c['n']}")
-            if not c["pass"]:
-                lines.append(f"         expected {c['expected']}")
-                lines.append(f"         got      {c['got']}")
-                if "witness" in c:
-                    lines.append(f"         witness  {json.dumps(c['witness'], sort_keys=True)}")
-        lines.append(f"{report['total'] - report['failures']}/{report['total']} checks passed")
-        _write_report(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
-    return 0 if report["pass"] else 1
+
+    def fill(fh):
+        try:
+            report = run_verify(suite, n_range=n_range, seed=args.seed,
+                                samples=args.samples, workers=args.workers)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        if args.format == "json":
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        elif args.format == "csv":
+            rows = [["check", "n", "expected", "got", "pass"]]
+            for c in report["checks"]:
+                rows.append([c["check"], c["n"], c.get("expected", ""), c.get("got", ""),
+                             c["pass"]])
+                if not c["pass"] and "witness" in c:
+                    rows.append(["# witness", json.dumps(c["witness"], sort_keys=True)])
+            csv.writer(fh).writerows(rows)
+        else:
+            lines = [f"suite {suite}  n={report['n_range'][0]}..{report['n_range'][1]}"
+                     f"  seed={report['seed']}"]
+            for c in report["checks"]:
+                mark = "ok  " if c["pass"] else "FAIL"
+                lines.append(f"  [{mark}] {c['check']} n={c['n']}")
+                if not c["pass"]:
+                    lines.append(f"         expected {c['expected']}")
+                    lines.append(f"         got      {c['got']}")
+                    if "witness" in c:
+                        lines.append(f"         witness  {json.dumps(c['witness'], sort_keys=True)}")
+            lines.append(f"{report['total'] - report['failures']}/{report['total']} checks passed")
+            fh.write("\n".join(lines) + "\n")
+        return report["pass"]
+
+    return 0 if _write_report(args.out, fill) else 1
 
 
 # -- entry ------------------------------------------------------------------------

@@ -7,9 +7,10 @@ regular step included).  One extra step is then appended to each path: the
 first path's is diagonal, and each later path's is the unique choice making
 consecutive final x-coordinates differ by an odd number.  The extra step is
 determined, not chosen, so it is exempt from the collision rule.  One parity
-rule states it, in `extra_steps` and `genfun_U` alike: with f the previous
-final x (0 before path 0) and e the end x of path t, the extra step is
-vertical when e - f is odd, and the new final x is e + 1 - (e - f) % 2.
+rule states it, in `extra_steps`, `enumerate_nilps` and `genfun_U` alike:
+with f the previous final x (0 before path 0) and e the end x of path t, the
+extra step is vertical when e - f is odd, and the new final x is
+e + 1 - (e - f) % 2.
 
 The k-statistics: u^0 counts vertical extra steps; for k >= 1, u^k counts
 vertical steps among the max(1, t-k+1)-th steps of the paths (a path with no
@@ -20,8 +21,11 @@ one profile rule.  Path t starts right of path t-1 and a step changes their
 gap by at most one, so the paths avoid each other exactly when path t stays
 strictly right of path t-1 at every height both reach (`_profiles_right_of`,
 on x-profiles; a path's step string is read off its profile, D where x
-rises).  The site rule in `Nilp.validate` is kept apart from it as the
-independent check of the enumeration.
+rises).  `enumerate_nilps` works out each profile's children once per call
+and carries the extra steps and the last final x down its walk (`_walk`),
+so a listed bundle is built from finished tuples (`_bundle`) without the
+checks `Nilp(steps)` runs.  The site rule in `Nilp.validate` is kept apart
+from the walk as the independent check of the enumeration.
 
 `genfun_U` counts bundles without listing them: its DP state is the last
 path's x-profile and its final x; path t's share of u^0 follows from the
@@ -50,13 +54,12 @@ class Nilp:
 
     __slots__ = ("n", "steps", "extra")
 
-    def __init__(self, steps, validate=True):
+    def __init__(self, steps):
         steps = tuple(str(s) for s in steps)
         self.n = len(steps)
         self.steps = steps
-        self.extra = tuple(extra_steps(steps))
-        if validate:
-            self.validate()
+        self.extra = extra_steps(steps)
+        self.validate()
 
     def validate(self):
         n = self.n
@@ -128,21 +131,48 @@ def _profiles_right_of(prev):
     return profiles
 
 
+def _bundle(steps, extra):
+    """A bundle from step and extra-step tuples the walk of `enumerate_nilps`
+    has already made consistent: no string conversion, no parity rule, no
+    site check."""
+    p = object.__new__(Nilp)
+    p.n = len(steps)
+    p.steps = steps
+    p.extra = extra
+    return p
+
+
 def enumerate_nilps(n: int):
     """Yield every size-n bundle exactly once, deterministically: path t
     runs over `_profiles_right_of` path t-1 (steps tried D before V)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    # path 0 is the one profile right of the empty one: (0,), no steps
+    yield from _walk(n, {}, (), 0, (), ())
 
-    def rec(prev, steps):
-        if len(steps) == n:
-            yield Nilp(steps, validate=False)
-            return
-        for profile in _profiles_right_of(prev):
-            path = "".join(DIAG if b > a else VERT for a, b in zip(profile, profile[1:]))
-            yield from rec(profile, steps + [path])
 
-    yield from rec((0,), [""])
+def _walk(n, children, prev, prev_final, steps, extra):
+    """The bundles of size n that continue the paths `steps`, whose extra
+    steps are `extra` and whose last path has x-profile `prev` and final x
+    `prev_final`.  `children` caches each profile's children for the walk as
+    (profile, step string, end x); each new path's extra step follows from
+    the parity rule.  A module function, not a closure that calls itself:
+    such a closure is a reference cycle, which would keep the cache alive
+    until the next garbage collection."""
+    kids = children.get(prev)
+    if kids is None:
+        kids = children[prev] = [
+            (profile, "".join(DIAG if b > a else VERT for a, b in zip(profile, profile[1:])),
+             profile[-1])
+            for profile in _profiles_right_of(prev)]
+    last = len(steps) + 1 == n
+    for profile, path, end in kids:
+        vert = (end - prev_final) % 2
+        steps_t, extra_t = steps + (path,), extra + (VERT if vert else DIAG,)
+        if last:
+            yield _bundle(steps_t, extra_t)
+        else:
+            yield from _walk(n, children, profile, end + 1 - vert, steps_t, extra_t)
 
 
 def u_statistic(p: Nilp, k: int) -> int:

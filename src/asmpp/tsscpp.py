@@ -35,7 +35,7 @@ class Tsscpp:
     __slots__ = ("n", "heights")
 
     def __init__(self, heights):
-        heights = tuple(tuple(int(v) for v in row) for row in heights)
+        heights = tuple(tuple(map(int, row)) for row in heights)
         m = len(heights)
         if m % 2 or any(len(row) != m for row in heights):
             raise TsscppError("heights must form a 2n x 2n array")
@@ -46,8 +46,19 @@ class Tsscpp:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        m = 2 * self.n
+        """Whole-tuple checks rule an array in: transpose symmetry, each
+        distinct row valid by `_valid_row`, and each row the complement of
+        its mirror row read backwards.  Given transpose symmetry, the rows'
+        order and bounds give the columns' too, and self-conjugate rows give
+        the axis symmetry (see `_check_axis_symmetry`).  Only an array they
+        rule out reaches the cell-by-cell loop, which names the first
+        violation."""
         a = self.heights
+        m = len(a)
+        if (tuple(zip(*a)) == a
+                and all(row in _VALID_ROWS or _valid_row(row, m) for row in a)
+                and tuple(map(_VALID_ROWS.__getitem__, reversed(a))) == a):
+            return
         for i in range(m):
             for j in range(m):
                 if not 0 <= a[i][j] <= m:
@@ -92,6 +103,23 @@ def _above(row, size):
     for v in row:
         hist[v] += 1
     return list(accumulate(reversed(hist[1:])))[::-1]
+
+
+# Every row `_valid_row` has accepted, mapped to its complement read
+# backwards, kept across calls.  A row is keyed by itself: its length is m.
+# A valid row of length m is a self-conjugate partition in an m x m box, so
+# there are at most 2**m of them.
+_VALID_ROWS = {}
+
+
+def _valid_row(row, m):
+    """Whether a row of length m is weakly decreasing, in [0, m] and its own
+    conjugate; a valid row joins `_VALID_ROWS`."""
+    valid = (list(row) == sorted(row, reverse=True) and row[-1] >= 0 and row[0] <= m
+             and _above(row, m) == list(row))
+    if valid:
+        _VALID_ROWS[row] = tuple(map(m.__sub__, reversed(row)))
+    return valid
 
 
 def _check_axis_symmetry(a):

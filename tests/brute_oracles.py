@@ -13,10 +13,11 @@ read off the tally.  The six-vertex sum applies the vertex weights at the
 square roots s of the spectral parameters; the library's row-state
 transfer (`sixvertex.zn_normalized`) works at z = s**2 instead.  The height array
 is counted cell by cell from the membership rule, which
-`tsscpp.from_triangle` works out block by block, and checked against the
-axis-permutation symmetry with the triple loop `Tsscpp.validate` replaces by
-row conjugates.  The lattice-path integral is evaluated by iterated residues
-of its integrand, where `contour.integral_U` sums determinants instead.
+`tsscpp.from_triangle` works out block by block, and validated cell by cell
+(with the triple loop for the axis-permutation symmetry), where
+`Tsscpp.validate` checks whole rows, each distinct one once.  The
+lattice-path integral is evaluated by iterated residues of its integrand,
+where `contour.integral_U` sums determinants instead.
 The antisymmetrized kernel is summed over all n! permutations of the
 w-variables (`bn_permutation_sum`), where `antisym.bn_brute` runs a DP over
 subsets of placed values.
@@ -193,6 +194,30 @@ def membership_heights(n, tri):
         [sum(1 for k in range(1, m + 1) if member(i, j, k)) for j in range(1, m + 1)]
         for i in range(1, m + 1)
     ]
+
+
+def validate_by_cells(a):
+    """Tsscpp.validate cell by cell: each entry in [0, 2n], rows and columns
+    weakly decreasing, then transpose symmetry and self-complementarity, then
+    the axis-permutation symmetry (`axis_symmetry_brute`); the first
+    violation is raised as a TsscppError naming it.  This is the oracle of
+    the whole-row checks `Tsscpp.validate` rules arrays in with."""
+    m = len(a)
+    for i in range(m):
+        for j in range(m):
+            if not 0 <= a[i][j] <= m:
+                raise TsscppError(f"height a[{i+1}][{j+1}] outside [0, 2n]")
+            if j + 1 < m and a[i][j] < a[i][j + 1]:
+                raise TsscppError(f"row {i+1} increases at column {j+1}")
+            if i + 1 < m and a[i][j] < a[i + 1][j]:
+                raise TsscppError(f"column {j+1} increases at row {i+1}")
+    for i in range(m):
+        for j in range(m):
+            if a[i][j] != a[j][i]:
+                raise TsscppError(f"transpose symmetry fails at ({i+1},{j+1})")
+            if a[i][j] + a[m - 1 - i][m - 1 - j] != m:
+                raise TsscppError(f"self-complementarity fails at ({i+1},{j+1})")
+    axis_symmetry_brute(a)
 
 
 def axis_symmetry_brute(a):

@@ -169,11 +169,11 @@ OUT_ARGVS = [
 
 
 def test_unwritable_out_exits_2_before_enumerating(monkeypatch, capsys, tmp_path):
-    """enumerate checks --out before its first object; genfun and verify,
-    which write their report once it is computed, exit 2 as well."""
-    def refuse(n):
-        raise AssertionError("enumerated before --out was checked")
-    for name in GENERATORS.values():
+    """enumerate checks --out before its first object, genfun and verify
+    before they compute their report."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+    for name in [*GENERATORS.values(), "genfun_doubly_refined", "run_verify"]:
         monkeypatch.setattr(cli, name, refuse)
     argvs = [("enumerate", kind, "--n", "3") for kind in GENERATORS] + OUT_ARGVS[1:]
     for argv in argvs:

@@ -27,6 +27,15 @@ def test_counts():
             assert all((b - a) % 2 == 1 for a, b in zip(finals, finals[1:]))
 
 
+def test_listed_bundles_equal_validated_ones():
+    # enumerate_nilps carries the extra steps down its walk and skips the
+    # checks; Nilp(steps) runs the site rule and extra_steps
+    for n in range(1, 7):
+        for p in enumerate_nilps(n):
+            q = Nilp(p.steps)
+            assert (p.n, p.steps, p.extra) == (q.n, q.steps, q.extra)
+
+
 def test_count_size7():
     assert sum(1 for _ in enumerate_nilps(7)) == 218348
 

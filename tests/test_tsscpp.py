@@ -1,9 +1,10 @@
 import sys
 from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
-from brute_oracles import axis_symmetry_brute, membership_heights
+from brute_oracles import axis_symmetry_brute, membership_heights, validate_by_cells
 
 from asmpp import tsscpp
 from asmpp.asm import asm_count_formula
@@ -91,7 +92,9 @@ def test_above_counts_the_entries_above_each_level():
 
 def test_above_on_every_row_the_bijections_feed_it(monkeypatch):
     # crossing rows (nilp_to_tsscpp), low rows (from_triangle), array rows
-    # (_check_axis_symmetry) and triangle rows (tsscpp_to_nilp)
+    # (_valid_row, each distinct one once: the memo starts empty here) and
+    # triangle rows (tsscpp_to_nilp)
+    monkeypatch.setattr(tsscpp, "_VALID_ROWS", {})
     calls = {}
 
     def spy(row, size):
@@ -106,7 +109,7 @@ def test_above_on_every_row_the_bijections_feed_it(monkeypatch):
     for n in range(1, 6):
         for p in enumerate_nilps(n):
             tsscpp_to_nilp(nilp_to_tsscpp(p))
-    assert set(calls) == {"nilp_to_tsscpp", "from_triangle", "_check_axis_symmetry",
+    assert set(calls) == {"nilp_to_tsscpp", "from_triangle", "_valid_row",
                           "tsscpp_to_nilp"}
     for caller, seen in calls.items():
         for row, size in seen:
@@ -250,3 +253,40 @@ def test_axis_symmetry_matches_the_cell_by_cell_loop(monkeypatch):
                     assert (_failure(tsscpp._check_axis_symmetry, a)
                             == _failure(axis_symmetry_brute, a))
     assert reached > 1000
+
+
+def _cell_changes(a):
+    """a with one entry moved by +-1, for every entry."""
+    m = len(a)
+    for i in range(m):
+        for j in range(m):
+            for d in (1, -1):
+                b = [list(row) for row in a]
+                b[i][j] += d
+                yield b
+
+
+def test_row_checks_agree_with_the_cell_loop():
+    # Tsscpp.validate rules arrays in by whole rows and names a violation
+    # only when they fail; the cell loop decides every array on its own.
+    # A +-1 change breaks transpose symmetry or a row's self-conjugacy, so
+    # the cellwise max and min of two arrays (the union and intersection of
+    # their solids, totally symmetric but not self-complementary) are what
+    # reach the complement comparison; every 2 x 2 array with entries in
+    # -4..3 reaches each check alone.
+    for n in range(1, 5):
+        arrays = [t.heights for t in enumerate_tsscpps(n)]
+        for a in arrays:
+            for b in [a, *_cell_changes(a)]:
+                assert _failure(Tsscpp, b) == _failure(validate_by_cells, b), b
+        for i, a in enumerate(arrays):
+            for b in arrays[:i]:
+                for pick in (max, min):
+                    c = [list(map(pick, r, s)) for r, s in zip(a, b)]
+                    assert _failure(Tsscpp, c) == _failure(validate_by_cells, c), c
+                    assert "self-complementarity" in _failure(Tsscpp, c)
+    for v in product(range(-4, 4), repeat=4):
+        a = [v[:2], v[2:]]
+        assert _failure(Tsscpp, a) == _failure(validate_by_cells, a), a
+    for t in enumerate_tsscpps(5):
+        assert _failure(validate_by_cells, t.heights) is None
