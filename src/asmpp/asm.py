@@ -5,9 +5,9 @@ monotone triangles): after the first i rows of an ASM, each column sum is 0
 or 1 and exactly i columns carry a 1.  Successive column sets interlace, and
 each interlacing chain corresponds to exactly one ASM.  `enumerate_asms`
 lists the matrices ordered lexicographically by the chain of row states.
-Per call it builds two tables as the walk first reaches them: the
-extensions of each state, and the row between each state and each of its
-extensions.  An ASM is then the tuple of the cached rows along its chain.
+Per call, its walk (`_walk`) caches each state's extensions as it first
+reaches them, each paired with the row between the two states.  An ASM is
+then the tuple of the cached rows along its chain.
 
 `genfun_doubly_refined` counts the same chains without listing them: a
 transfer-matrix DP over the row states, keeping per state the counts by
@@ -105,25 +105,29 @@ def enumerate_asms(n: int):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    extensions = {}  # state -> _extensions(state, n)
-    rows = {}  # (state, next state) -> the row between them
+    if n == 0:
+        yield Asm((), validate=False)
+        return
+    yield from _walk(n, {}, (), ())
 
-    def extend(state):
-        nexts = extensions.get(state)
-        if nexts is None:
-            nexts = extensions[state] = _extensions(state, n)
-            for nxt in nexts:  # the row that takes state to nxt
-                rows[state, nxt] = tuple((v in nxt) - (v in state) for v in range(n))
-        return nexts
 
-    def rec(state, prefix):
-        if len(state) == n:
-            yield Asm(prefix, validate=False)
-            return
-        for nxt in extend(state):
-            yield from rec(nxt, prefix + (rows[state, nxt],))
-
-    yield from rec((), ())
+def _walk(n, children, state, prefix):
+    """The ASMs of size n whose first rows are `prefix`, the rows that take
+    the empty state to `state`.  `children` caches each state's extensions
+    for the walk as (next state, the row between them).  A module function,
+    not a closure that calls itself: such a closure is a reference cycle,
+    which would keep the cache alive until the next garbage collection."""
+    kids = children.get(state)
+    if kids is None:
+        kids = children[state] = [
+            (nxt, tuple((v in nxt) - (v in state) for v in range(n)))
+            for nxt in _extensions(state, n)]
+    if len(state) + 1 == n:
+        for _, row in kids:
+            yield Asm(prefix + (row,), validate=False)
+    else:
+        for nxt, row in kids:
+            yield from _walk(n, children, nxt, prefix + (row,))
 
 
 def refined_stat(a: Asm) -> RefinedStat:

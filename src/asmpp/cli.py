@@ -313,7 +313,11 @@ def cmd_verify(args):
 
 # -- entry ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared by every
+    call of `main`: building one costs more than most commands at small n,
+    and its actions form reference cycles."""
     parser = argparse.ArgumentParser(
         prog="asmpp",
         description="Exact enumeration and identity verification for "
@@ -329,7 +333,6 @@ def build_parser():
     p.add_argument("kind", choices=("asm", "nilp", "tsscpp"))
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("genfun", help="doubly refined generating polynomials")
     p.add_argument("route", choices=tuple(GENFUN_LIMITS))
@@ -340,7 +343,6 @@ def build_parser():
     p.add_argument("--weights", help="comma list for the lgv route, e.g. t,s,1")
     p.add_argument("--a", help="interpolation entries for integral-I (or 'y(1-y)')")
     common(p)
-    p.set_defaults(fn=cmd_genfun)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=tuple(sorted(SUITES)))
@@ -350,19 +352,19 @@ def build_parser():
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     common(p)
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # looked up per call, so a command patched after the parser was built runs
+    command = {"enumerate": cmd_enumerate, "genfun": cmd_genfun, "verify": cmd_verify}
     try:
-        return args.fn(args)
+        return command[args.command](args)
     except (UsageError, CountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

@@ -11,6 +11,10 @@ is 1.  Ice-rule cells then fall into three classes:
   b-class: they differ (types b1/b2),
   c-class: the cell itself is +1 (c1) or -1 (c2).
 
+A row's types thus depend only on the row and the partial column sums before
+it, and `asm_to_six_vertex` looks each such row transition up in a cache
+instead of typing the grid cell by cell.
+
 Weights depend on a row parameter z = s_row**2, a column parameter
 w = s_col**2 and r with q = r**2:
 
@@ -25,6 +29,8 @@ Schur specialization values at the cubic root of unity.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from operator import add
 
 from .algebra.cyclo import CycloScalar, Q3, ZETA
 from .asm import Asm, _extensions
@@ -67,25 +73,28 @@ _ENTRY_FROM_TYPE = {"c1": 1, "c2": -1, "a1": 0, "a2": 0, "b1": 0, "b2": 0}
 
 
 def asm_to_six_vertex(a: Asm) -> VertexGrid:
-    """The unique DWBC arrow configuration of an ASM."""
-    n = a.n
+    """The unique DWBC arrow configuration of an ASM, one cached row
+    transition (`_row_types`) per row."""
+    col = (0,) * a.n
     grid = []
-    col = [0] * n
-    for i in range(n):
-        rowsum = 0
-        row_types = []
-        for j in range(n):
-            v = a.entries[i][j]
-            if v == 1:
-                row_types.append("c1")
-            elif v == -1:
-                row_types.append("c2")
-            else:
-                row_types.append(_TYPE_FROM_STATE[(rowsum, col[j])])
-            rowsum += v
-            col[j] += v
-        grid.append(row_types)
+    for row in a.entries:
+        types, col = _row_types(col, row)
+        grid.append(types)
     return VertexGrid(grid, validate=False)
+
+
+@cache
+def _row_types(col, row):
+    """The vertex types of an ASM row whose partial column sums before it
+    are `col`, and those sums after it.  A row's types depend on nothing
+    else, so each transition is typed once per process: 543 of them for all
+    ASMs with n <= 6."""
+    types = []
+    rowsum = 0
+    for v, c in zip(row, col):
+        types.append("c1" if v == 1 else "c2" if v == -1 else _TYPE_FROM_STATE[rowsum, c])
+        rowsum += v
+    return tuple(types), tuple(map(add, col, row))
 
 
 def six_vertex_to_asm(g: VertexGrid) -> Asm:

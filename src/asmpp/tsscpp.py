@@ -18,10 +18,30 @@ with horizontal steps becoming diagonal ones.  The crossing table r[s][c]
 row conjugates of each other: b[s][j] = #{c : r[s][c] >= j} and r[s][c] =
 #{j : b[s][j] >= c}.  Every such count, here and in the array's own checks,
 is one call of `_above` per row.
+
+`nilp_to_tsscpp` does not go through the triangle: the height array is a
+sum over the paths.  Path t (level c = n-t) crosses triangle row s at r[s],
+with r[s] = s at or above the row where it meets the diagonal; its region
+R[x][y] = [r[max(x, y) + 1] > min(x, y)] (0-based x, y) is where the mirrored
+triangle `low` (see `from_triangle`) is at least c.  So low is the sum of the
+levels' regions, and #{v in low[y] : v > x} is the row count of R at y for
+the level c = x + 1.  Block by block, the array is then a constant K (2n on
+the top-left block, n on both off-diagonal blocks, 0 on the bottom-right
+one) plus, per level, H: R on the bottom-right block, minus R mirrored
+through (n-1-x, n-1-y) on the top-left one, R's row counts on off-diagonal
+row c-1 and its transpose, minus the reversed row counts on off-diagonal
+column 2n-c and its transpose.  Each H is packed into one int, cell (i, j)
+an 8-bit field at bit (i*2n + j)*8, and cached per (n, t, path) (`_level`);
+an array is K plus n-1 int additions, read back by `int.to_bytes`.  A
+partial sum may hold negative fields, but every field of the whole sum is a
+height in [0, 2n], so the bytes of the sum are the heights.  The
+crossings -> triangle -> `from_triangle` route stays in the tests as the
+oracle of this sum.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 
 from .nilp import Nilp, VERT, DIAG, enumerate_nilps
@@ -94,6 +114,17 @@ class Tsscpp:
 
     def to_rows(self):
         return [list(r) for r in self.heights]
+
+
+def _array(heights):
+    """A TSSCPP from a tuple of int-tuple rows, as `from_triangle` and
+    `nilp_to_tsscpp` build them: no coercion of the rows, which `Tsscpp`
+    does for outside input; every array is still validated."""
+    a = object.__new__(Tsscpp)
+    a.n = len(heights) // 2
+    a.heights = heights
+    a.validate()
+    return a
 
 
 def _above(row, size):
@@ -177,7 +208,7 @@ def from_triangle(n, tri) -> Tsscpp:
             a[n + x][n + y] = low[x][y]
             a[x][y] = m - low[n - 1 - x][n - 1 - y]
             a[x][n + y] = a[n + y][x] = above[y][x] + n - above[n - 1 - x][n - 1 - y]
-    return Tsscpp(a)
+    return _array(tuple(map(tuple, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +239,61 @@ def tsscpp_to_nilp(a: Tsscpp) -> Nilp:
 
 
 def nilp_to_tsscpp(p: Nilp) -> Tsscpp:
+    """The array of a bundle: K plus each path's packed level share (see the
+    module docstring), read back one byte per height."""
     n = p.n
-    # crossing positions r[s][c]: x-coordinate at which the level-c boundary
-    # crosses triangle row s (counted in region cells)
-    r = [[0] * n for _ in range(n + 1)]  # r[s][c] for 1<=s<=n, 1<=c<=n-1
+    m = 2 * n
+    total = _base(n)
     for t in range(1, n):
-        c = n - t
-        x = 0
-        y = -t
-        for ch in p.steps[t]:
-            if ch == VERT:
-                r[-y][c] = x
-                y += 1
-            else:
-                x += 1
-        # stopped on the diagonal at (x, -x): rows at or above are full
-        for s in range(1, x + 1):
-            r[s][c] = s
-    return from_triangle(n, [_above(r[s][1:], s) for s in range(1, n + 1)])
+        total += _level(n, t, p.steps[t])
+    cells = tuple(total.to_bytes(m * m, "little"))
+    return _array(tuple(cells[i:i + m] for i in range(0, m * m, m)))
+
+
+def _pack(fields):
+    """The cells of a 2n x 2n array, row-major, as one int of 8-bit fields."""
+    return sum(v << (8 * k) for k, v in enumerate(fields) if v)
+
+
+@cache
+def _base(n):
+    """K packed: 2n on the top-left block, n on both off-diagonal blocks."""
+    m = 2 * n
+    if m > 255:
+        raise ValueError(f"n = {n}: a height 2n must fit in one byte")
+    return _pack([m if i < n and j < n else n if (i < n) != (j < n) else 0
+                  for i in range(m) for j in range(m)])
+
+
+@cache
+def _level(n, t, path):
+    """The packed share H of path t (level c = n-t) of a size-n bundle, whose
+    regular steps are `path`.  At most 2**t paths per (n, t) are cached."""
+    m = 2 * n
+    c = n - t
+    r = [0] * (n + 1)  # r[s]: where the level-c boundary crosses triangle row s
+    x, s = 0, t
+    for ch in path:
+        if ch == VERT:
+            r[s] = x
+            s -= 1
+        else:
+            x += 1
+    # stopped on the diagonal at (x, -x): rows at or above are full
+    for s in range(1, x + 1):
+        r[s] = s
+    region = [[int(r[max(x, y) + 1] > min(x, y)) for y in range(n)] for x in range(n)]
+    counts = list(map(sum, region))
+    fields = [0] * (m * m)
+    for x in range(n):
+        for y in range(n):
+            fields[(n + x) * m + n + y] += region[x][y]
+            fields[x * m + y] -= region[n - 1 - x][n - 1 - y]
+        fields[(c - 1) * m + n + x] += counts[x]
+        fields[(n + x) * m + c - 1] += counts[x]
+        fields[x * m + 2 * n - c] -= counts[n - 1 - x]
+        fields[(2 * n - c) * m + x] -= counts[n - 1 - x]
+    return _pack(fields)
 
 
 def enumerate_tsscpps(n: int):

@@ -23,6 +23,10 @@ w-variables (`bn_permutation_sum`), where `antisym.bn_brute` runs a DP over
 subsets of placed values.
 `ice_rule_breach` reads a grid of vertex types as arrows, independently of
 the partial-sum typing `sixvertex.asm_to_six_vertex` uses.
+`vertex_types_by_cells` is that typing cell by cell, where
+`asm_to_six_vertex` looks up one cached transition per row, and
+`crossing_tsscpp` builds a bundle's height array through its crossings and
+triangle, where `tsscpp.nilp_to_tsscpp` sums packed per-path shares.
 """
 
 from collections import Counter
@@ -35,9 +39,9 @@ from asmpp.algebra.matrix import perm_sign
 from asmpp.antisym import SingularSampleError, h1, hq
 from asmpp.asm import _extensions, enumerate_asms, refined_stat
 from asmpp.genpoly import GenPoly
-from asmpp.nilp import enumerate_nilps, u_statistic
-from asmpp.sixvertex import asm_to_six_vertex
-from asmpp.tsscpp import TsscppError
+from asmpp.nilp import VERT, enumerate_nilps, u_statistic
+from asmpp.sixvertex import _TYPE_FROM_STATE, asm_to_six_vertex
+from asmpp.tsscpp import TsscppError, _above, from_triangle
 
 
 def chain_asms(n):
@@ -138,6 +142,29 @@ def brute_weighted_partition_sum(n: int, s, r):
     return total
 
 
+def vertex_types_by_cells(a):
+    """The vertex types of an ASM's grid, typed cell by cell from the
+    partial row and column sums before each cell."""
+    n = a.n
+    grid = []
+    col = [0] * n
+    for i in range(n):
+        rowsum = 0
+        row_types = []
+        for j in range(n):
+            v = a.entries[i][j]
+            if v == 1:
+                row_types.append("c1")
+            elif v == -1:
+                row_types.append("c2")
+            else:
+                row_types.append(_TYPE_FROM_STATE[(rowsum, col[j])])
+            rowsum += v
+            col[j] += v
+        grid.append(tuple(row_types))
+    return tuple(grid)
+
+
 # The arrows of each vertex type in the order (left, right, top, bottom):
 # E or W on the horizontal edges, U or D on the vertical ones.
 ARROWS = {"a1": "EEUU", "a2": "WWDD", "b1": "EEDD", "b2": "WWUU",
@@ -194,6 +221,30 @@ def membership_heights(n, tri):
         [sum(1 for k in range(1, m + 1) if member(i, j, k)) for j in range(1, m + 1)]
         for i in range(1, m + 1)
     ]
+
+
+def crossing_tsscpp(p):
+    """The TSSCPP of a bundle through the crossing table: path t (level
+    c = n-t) crosses triangle row s at r[s][c], the triangle is the row
+    conjugate of the crossings, and `from_triangle` rebuilds the array."""
+    n = p.n
+    # crossing positions r[s][c]: x-coordinate at which the level-c boundary
+    # crosses triangle row s (counted in region cells)
+    r = [[0] * n for _ in range(n + 1)]  # r[s][c] for 1<=s<=n, 1<=c<=n-1
+    for t in range(1, n):
+        c = n - t
+        x = 0
+        y = -t
+        for ch in p.steps[t]:
+            if ch == VERT:
+                r[-y][c] = x
+                y += 1
+            else:
+                x += 1
+        # stopped on the diagonal at (x, -x): rows at or above are full
+        for s in range(1, x + 1):
+            r[s][c] = s
+    return from_triangle(n, [_above(r[s][1:], s) for s in range(1, n + 1)])
 
 
 def validate_by_cells(a):

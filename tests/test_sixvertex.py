@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from brute_oracles import brute_weighted_partition_sum, ice_rule_breach
+from brute_oracles import brute_weighted_partition_sum, ice_rule_breach, vertex_types_by_cells
 
 from asmpp import asm, sixvertex
 from asmpp.algebra.cyclo import CycloScalar, ZETA
@@ -46,6 +46,12 @@ def test_forward_map_obeys_the_ice_rule():
     assert len(grids) == 1 + 2 + 7 + 42 + 429
     for types in grids:
         assert ice_rule_breach(types) is None, types
+
+
+def test_row_transitions_type_every_cell_as_the_cell_loop():
+    for n in range(1, 7):
+        for a in enumerate_asms(n):
+            assert asm_to_six_vertex(a).types == vertex_types_by_cells(a), a
 
 
 def test_grid_validation():

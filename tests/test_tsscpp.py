@@ -4,11 +4,16 @@ from itertools import product
 from random import Random
 
 import pytest
-from brute_oracles import axis_symmetry_brute, membership_heights, validate_by_cells
+from brute_oracles import (
+    axis_symmetry_brute,
+    crossing_tsscpp,
+    membership_heights,
+    validate_by_cells,
+)
 
 from asmpp import tsscpp
 from asmpp.asm import asm_count_formula
-from asmpp.nilp import enumerate_nilps, u_statistic
+from asmpp.nilp import Nilp, enumerate_nilps, u_statistic
 from asmpp.tsscpp import (
     Tsscpp,
     TsscppError,
@@ -91,9 +96,10 @@ def test_above_counts_the_entries_above_each_level():
 
 
 def test_above_on_every_row_the_bijections_feed_it(monkeypatch):
-    # crossing rows (nilp_to_tsscpp), low rows (from_triangle), array rows
-    # (_valid_row, each distinct one once: the memo starts empty here) and
-    # triangle rows (tsscpp_to_nilp)
+    # array rows (_valid_row, each distinct one once: the memo starts empty
+    # here) and triangle rows (tsscpp_to_nilp) on the round trip, which
+    # sums packed levels and so counts no crossing row; low rows
+    # (from_triangle) from every triangle up to n = 5
     monkeypatch.setattr(tsscpp, "_VALID_ROWS", {})
     calls = {}
 
@@ -109,11 +115,26 @@ def test_above_on_every_row_the_bijections_feed_it(monkeypatch):
     for n in range(1, 6):
         for p in enumerate_nilps(n):
             tsscpp_to_nilp(nilp_to_tsscpp(p))
-    assert set(calls) == {"nilp_to_tsscpp", "from_triangle", "_valid_row",
-                          "tsscpp_to_nilp"}
+    assert set(calls) == {"_valid_row", "tsscpp_to_nilp"}
+    for n in range(1, 6):
+        for tri in _triangles(n):
+            from_triangle(n, tri)
+    assert set(calls) == {"from_triangle", "_valid_row", "tsscpp_to_nilp"}
     for caller, seen in calls.items():
         for row, size in seen:
             assert above(row, size) == _above_by_cells(row, size), (caller, row, size)
+
+
+def test_level_sum_equals_the_triangle_route():
+    for n in range(1, 7):
+        for p in enumerate_nilps(n):
+            assert nilp_to_tsscpp(p).heights == crossing_tsscpp(p).heights, p
+
+
+def test_heights_past_one_byte_are_refused():
+    # 2n = 256 does not fit the 8-bit fields of the packed sum
+    with pytest.raises(ValueError, match="one byte"):
+        nilp_to_tsscpp(Nilp(["V" * t for t in range(128)]))
 
 
 def test_enumerate_tsscpps():
