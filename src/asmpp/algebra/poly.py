@@ -4,8 +4,8 @@ A MultiPoly has an explicit ordered variable tuple and a sparse map from
 exponent vectors (tuples of ints, one slot per variable) to coefficients.
 Exponents are nonnegative in a polynomial; the sum and product loops do not
 depend on that, and the truncated series of `series.py` run their Laurent
-arithmetic through them.  Coefficients may be int, Fraction or CycloScalar; zero coefficients
-are never stored.  Instances are treated as immutable.
+arithmetic through them.  Coefficients may be int, Fraction or CycloScalar;
+`__init__` alone drops zero coefficients.  Instances are treated as immutable.
 """
 
 from __future__ import annotations
@@ -82,11 +82,7 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, 0) + coeff
-            if not acc:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = acc
+            terms[exps] = terms.get(exps, 0) + coeff
         return MultiPoly(self.vars, terms)
 
     __radd__ = __add__
@@ -111,11 +107,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exps, 0) + c1 * c2
-                if not acc:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = acc
+                terms[exps] = terms.get(exps, 0) + c1 * c2
         return MultiPoly(self.vars, terms)
 
     __rmul__ = __mul__

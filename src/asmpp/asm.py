@@ -5,9 +5,10 @@ monotone triangles): after the first i rows of an ASM, each column sum is 0
 or 1 and exactly i columns carry a 1.  Successive column sets interlace, and
 each interlacing chain corresponds to exactly one ASM.  `enumerate_asms`
 lists the matrices ordered lexicographically by the chain of row states.
-Per call, its walk (`_walk`) caches each state's extensions as it first
-reaches them, each paired with the row between the two states.  An ASM is
-then the tuple of the cached rows along its chain.
+Its walk (`_walk`) reads each state's extensions, paired with the row
+between the two states, from one per-process table (`_rows`: 2**n - 1
+states, 127 with 1,093 rows at the cap n = 7), which the six-vertex
+transfer walks too.
 
 `genfun_doubly_refined` counts the same chains without listing them: a
 transfer-matrix DP over the row states, keeping per state the counts by
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .genpoly import GenPoly
 
@@ -108,26 +110,26 @@ def enumerate_asms(n: int):
     if n == 0:
         yield Asm((), validate=False)
         return
-    yield from _walk(n, {}, (), ())
+    yield from _walk(n, (), ())
 
 
-def _walk(n, children, state, prefix):
+@cache
+def _rows(state, n):
+    """The extensions of `state` in the order of `_extensions`, each as
+    (next state, the row between the two states)."""
+    return tuple((nxt, tuple((v in nxt) - (v in state) for v in range(n)))
+                 for nxt in _extensions(state, n))
+
+
+def _walk(n, state, prefix):
     """The ASMs of size n whose first rows are `prefix`, the rows that take
-    the empty state to `state`.  `children` caches each state's extensions
-    for the walk as (next state, the row between them).  A module function,
-    not a closure that calls itself: such a closure is a reference cycle,
-    which would keep the cache alive until the next garbage collection."""
-    kids = children.get(state)
-    if kids is None:
-        kids = children[state] = [
-            (nxt, tuple((v in nxt) - (v in state) for v in range(n)))
-            for nxt in _extensions(state, n)]
+    the empty state to `state`."""
     if len(state) + 1 == n:
-        for _, row in kids:
+        for _, row in _rows(state, n):
             yield Asm(prefix + (row,), validate=False)
     else:
-        for nxt, row in kids:
-            yield from _walk(n, children, nxt, prefix + (row,))
+        for nxt, row in _rows(state, n):
+            yield from _walk(n, nxt, prefix + (row,))
 
 
 def refined_stat(a: Asm) -> RefinedStat:

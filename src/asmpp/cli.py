@@ -94,10 +94,12 @@ def _write_report(out, fill):
 
 # -- enumerate ----------------------------------------------------------------
 
+@functools.cache
 def _part_text(kind, fmt, part):
     """The text of one part of an enumerated object in fmt: a row of an ASM or
-    of a TSSCPP's height array, or a bundle's path as (t, steps, extra).  A
-    json part is indented to its depth in the report by its line breaks:
+    of a TSSCPP's height array, or a bundle's path as (t, steps, extra),
+    cached per process (a size n has at most C(2n, n) parts, 3,432 at n = 7).
+    A json part is indented to its depth in the report by its line breaks:
     json.dumps escapes every newline inside a string."""
     if kind == "nilp":
         t, steps, extra = part
@@ -126,7 +128,7 @@ def _write_objects(kind, n, count, fmt, fh):
         objects, parts = enumerate_asms(n), operator.attrgetter("entries")
     else:
         objects, parts = enumerate_tsscpps(n), operator.attrgetter("heights")
-    text = functools.cache(functools.partial(_part_text, kind, fmt))
+    text = functools.partial(_part_text, kind, fmt)
     write = fh.write
     if fmt == "json":  # each object as json.dumps lays it out inside "objects"
         if kind == "nilp":
@@ -273,8 +275,6 @@ def _parse_avec(text, n):
 
 def cmd_verify(args):
     suite = args.suite
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     n_range = _parse_n_range(args.n) if args.n else None
 
     def fill(fh):

@@ -21,11 +21,13 @@ one profile rule.  Path t starts right of path t-1 and a step changes their
 gap by at most one, so the paths avoid each other exactly when path t stays
 strictly right of path t-1 at every height both reach (`_profiles_right_of`,
 on x-profiles; a path's step string is read off its profile, D where x
-rises).  `enumerate_nilps` works out each profile's children once per call
-and carries the extra steps and the last final x down its walk (`_walk`),
-so a listed bundle is built from finished tuples (`_bundle`) without the
-checks `Nilp(steps)` runs.  The site rule in `Nilp.validate` is kept apart
-from the walk as the independent check of the enumeration.
+rises).  `enumerate_nilps` reads each profile's children from one
+per-process table (`_children`: the 2**(n-1) profiles of paths 0..n-2 and
+the empty one, 64 with 1,716 children at the cap n = 7) and carries the
+extra steps and the last final x down its walk (`_walk`), so a listed
+bundle is built from finished tuples (`_bundle`) without the checks
+`Nilp(steps)` runs.  The site rule in `Nilp.validate` is kept apart from
+the walk as the independent check of the enumeration.
 
 `genfun_U` counts bundles without listing them: its DP state is the last
 path's x-profile and its final x; path t's share of u^0 follows from the
@@ -41,6 +43,8 @@ exchanging two of their counts keeps every path's entry and exit sites.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .genpoly import GenPoly
 
@@ -148,31 +152,29 @@ def enumerate_nilps(n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     # path 0 is the one profile right of the empty one: (0,), no steps
-    yield from _walk(n, {}, (), 0, (), ())
+    yield from _walk(n, (), 0, (), ())
 
 
-def _walk(n, children, prev, prev_final, steps, extra):
+@cache
+def _children(prev):
+    """The paths right of the path with x-profile `prev`, in the order of
+    `_profiles_right_of`, each as (x-profile, step string, end x)."""
+    return tuple((p, "".join(DIAG if b > a else VERT for a, b in zip(p, p[1:])), p[-1])
+                 for p in _profiles_right_of(prev))
+
+
+def _walk(n, prev, prev_final, steps, extra):
     """The bundles of size n that continue the paths `steps`, whose extra
     steps are `extra` and whose last path has x-profile `prev` and final x
-    `prev_final`.  `children` caches each profile's children for the walk as
-    (profile, step string, end x); each new path's extra step follows from
-    the parity rule.  A module function, not a closure that calls itself:
-    such a closure is a reference cycle, which would keep the cache alive
-    until the next garbage collection."""
-    kids = children.get(prev)
-    if kids is None:
-        kids = children[prev] = [
-            (profile, "".join(DIAG if b > a else VERT for a, b in zip(profile, profile[1:])),
-             profile[-1])
-            for profile in _profiles_right_of(prev)]
+    `prev_final`; each new path's extra step follows from the parity rule."""
     last = len(steps) + 1 == n
-    for profile, path, end in kids:
+    for profile, path, end in _children(prev):
         vert = (end - prev_final) % 2
         steps_t, extra_t = steps + (path,), extra + (VERT if vert else DIAG,)
         if last:
             yield _bundle(steps_t, extra_t)
         else:
-            yield from _walk(n, children, profile, end + 1 - vert, steps_t, extra_t)
+            yield from _walk(n, profile, end + 1 - vert, steps_t, extra_t)
 
 
 def u_statistic(p: Nilp, k: int) -> int:

@@ -12,8 +12,9 @@ is 1.  Ice-rule cells then fall into three classes:
   c-class: the cell itself is +1 (c1) or -1 (c2).
 
 A row's types thus depend only on the row and the partial column sums before
-it, and `asm_to_six_vertex` looks each such row transition up in a cache
-instead of typing the grid cell by cell.
+it, so each row of the ASM table (`asm._rows`) is typed once per process
+(`_row_types`, (3**n - 1)/2 rows per size n): `asm_to_six_vertex` looks
+rows up there, and `zn_normalized` weighs the typed rows.
 
 Weights depend on a row parameter z = s_row**2, a column parameter
 w = s_col**2 and r with q = r**2:
@@ -33,7 +34,7 @@ from functools import cache
 from operator import add
 
 from .algebra.cyclo import CycloScalar, Q3, ZETA
-from .asm import Asm, _extensions
+from .asm import Asm, _rows
 from .schur import staircase_sign
 
 
@@ -86,9 +87,7 @@ def asm_to_six_vertex(a: Asm) -> VertexGrid:
 @cache
 def _row_types(col, row):
     """The vertex types of an ASM row whose partial column sums before it
-    are `col`, and those sums after it.  A row's types depend on nothing
-    else, so each transition is typed once per process: 543 of them for all
-    ASMs with n <= 6."""
+    are `col`, and those sums after it."""
     types = []
     rowsum = 0
     for v, c in zip(row, col):
@@ -146,34 +145,36 @@ def normalize_Z(ztilde, n: int, s, r):
     return ztilde * _inv(_normalization(n, s, r))
 
 
-def zn_normalized(n: int, z, r):
-    """Normalized partition sum taken directly at spectral parameters z.
+def _weights(n, z, r):
+    """Cell (i, j)'s weight of each vertex type at z_i and w_j = z[n+j],
+    with `_normalization` taken out of the module's weights: as every row
+    and column holds one more +1 than -1, a c2 weighs (1/q - q)**2 z_i w_j,
+    the square of its own weight, and a c1 weighs 1, skipped by the
+    transfer, so it has no entry."""
+    rinv = _inv(r)
+    c = (rinv * rinv - r * r) ** 2
+    cells = [[(c * zi * w, zi * rinv - r * w, w * rinv - r * zi) for w in z[n:]] for zi in z[:n]]
+    return [[{"c2": c2, "a1": a, "a2": a, "b1": b, "b2": b} for c2, a, b in row] for row in cells]
 
-    A transfer over the row states of `asm._extensions` (after row i, the
-    columns with partial column sum 1); cell (i, j) holds [j in state] -
-    [j in prev].  With w_j = z[n+j], a +1 weighs 1, a -1 (1/q - q)**2 z_i
-    w_j, and a 0 weighs a = z_i/r - r w_j if the row sum before column j
-    is [j in prev], else b = w_j/r - r z_i.  This is the module's weighting
-    divided by `_normalization`, exactly and with no square root: every row
-    and column holds one more +1 than -1.
-    """
+
+def zn_normalized(n: int, z, r):
+    """Normalized partition sum taken directly at spectral parameters z:
+    a transfer over the rows of the ASM table (`asm._rows`), each row typed
+    by `_row_types` and each vertex weighed by `_weights`, which is the
+    module's weighting divided by `_normalization`, exactly and with no
+    square root."""
     if len(z) != 2 * n:
         raise ValueError("need 2n spectral values")
-    rinv = _inv(r)
-    c2 = (rinv * rinv - r * r) ** 2
-    layer = {(): r * rinv}  # the ring's unit, so that n = 1 keeps the ring
-    for i in range(n):
-        cells = [(c2 * z[i] * w, rinv * z[i] - r * w, rinv * w - r * z[i]) for w in z[n:]]
+    layer = {(): r * _inv(r)}  # the ring's unit, so that n = 1 keeps the ring
+    for cells in _weights(n, z, r):
         nxt = {}
         for prev, weight in layer.items():
-            for state in _extensions(prev, n):
-                x, rowsum = weight, 0
-                for j, (minus, a, b) in enumerate(cells):
-                    was = j in prev
-                    entry = (j in state) - was
-                    if entry <= 0:
-                        x = x * (minus if entry else a if rowsum == was else b)
-                    rowsum += entry
+            col = tuple(int(j in prev) for j in range(n))
+            for state, row in _rows(prev, n):
+                x = weight
+                for cell, t in zip(cells, _row_types(col, row)[0]):
+                    if t != "c1":
+                        x = x * cell[t]
                 nxt[state] = nxt[state] + x if state in nxt else x
         layer = nxt
     return layer[tuple(range(n))] * staircase_sign(n)

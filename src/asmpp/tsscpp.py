@@ -7,8 +7,20 @@ complementation, so one rule decides membership of a cell (i, j, k): if its
 two largest coordinates p >= q lie in the upper half n+1..2n, the cell is in
 the solid when b[p-n][q-n] is at least the third, where b[s][j] = a[n+s][n+j]
 (1 <= j <= s <= n) is the bottom-right triangle; any other cell is in it
-when its complement (2n+1-i, 2n+1-j, 2n+1-k) is not.  `from_triangle` counts
-each column's cells by this rule, one block of the array at a time.
+when its complement (2n+1-i, 2n+1-j, 2n+1-k) is not.  Counting each
+column's cells by this rule gives the array block by block (0-based x, y in
+0..n-1):
+
+  low[x][y] = a[n+x][n+y] is the triangle and its mirror image: every cell
+    above it with height k <= n has its two largest coordinates in the
+    upper half, and none with k > n is in the solid (b[s][j] < n);
+  a[x][y] = 2n - low[n-1-x][n-1-y]: all of these cells are complements;
+  a[x][n+y] = a[n+y][x] = n + above[y][x] - above[n-1-x][n-1-y], where
+    above[y][x] = #{v in low[y] : v > x}: cells with k > n read low[y] at
+    k, and n - above[n-1-x][n-1-y] cells with k <= n are complements.
+
+So `from_triangle` builds an array as a constant K (2n top-left, n off the
+diagonal, 0 bottom-right) plus `_blocks(low, above)`, linear in both.
 
 The path image: for each level c = n-t (t = 1..n-1), the boundary of the
 region of triangle entries >= c is a monotone staircase; reading its
@@ -19,24 +31,17 @@ row conjugates of each other: b[s][j] = #{c : r[s][c] >= j} and r[s][c] =
 #{j : b[s][j] >= c}.  Every such count, here and in the array's own checks,
 is one call of `_above` per row.
 
-`nilp_to_tsscpp` does not go through the triangle: the height array is a
-sum over the paths.  Path t (level c = n-t) crosses triangle row s at r[s],
-with r[s] = s at or above the row where it meets the diagonal; its region
-R[x][y] = [r[max(x, y) + 1] > min(x, y)] (0-based x, y) is where the mirrored
-triangle `low` (see `from_triangle`) is at least c.  So low is the sum of the
-levels' regions, and #{v in low[y] : v > x} is the row count of R at y for
-the level c = x + 1.  Block by block, the array is then a constant K (2n on
-the top-left block, n on both off-diagonal blocks, 0 on the bottom-right
-one) plus, per level, H: R on the bottom-right block, minus R mirrored
-through (n-1-x, n-1-y) on the top-left one, R's row counts on off-diagonal
-row c-1 and its transpose, minus the reversed row counts on off-diagonal
-column 2n-c and its transpose.  Each H is packed into one int, cell (i, j)
-an 8-bit field at bit (i*2n + j)*8, and cached per (n, t, path) (`_level`);
-an array is K plus n-1 int additions, read back by `int.to_bytes`.  A
-partial sum may hold negative fields, but every field of the whole sum is a
-height in [0, 2n], so the bytes of the sum are the heights.  The
-crossings -> triangle -> `from_triangle` route stays in the tests as the
-oracle of this sum.
+`nilp_to_tsscpp` sums over the paths instead.  Path t (level c = n-t)
+crosses triangle row s at r[s], with r[s] = s at or above the row where it
+meets the diagonal; its region R[x][y] = [r[max(x, y) + 1] > min(x, y)] is
+where low >= c.  So low is the sum of the regions, above[y][x] the row
+count at y of the region of level x + 1, and an array is K plus one share
+_blocks(R, R's row counts at x = c-1) per level, packed into one int (cell
+(i, j) an 8-bit field at bit (i*2n + j)*8) and cached per (n, t, path)
+(`_level`).  A partial sum may hold negative fields, but every field of the
+whole sum is a height in [0, 2n], so `_decode` reads the heights off the
+bytes of the sum.  The crossings -> triangle -> `from_triangle` route stays
+in the tests as the oracle of this sum.
 """
 
 from __future__ import annotations
@@ -116,13 +121,14 @@ class Tsscpp:
         return [list(r) for r in self.heights]
 
 
-def _array(heights):
-    """A TSSCPP from a tuple of int-tuple rows, as `from_triangle` and
-    `nilp_to_tsscpp` build them: no coercion of the rows, which `Tsscpp`
-    does for outside input; every array is still validated."""
+def _decode(n, total):
+    """The TSSCPP whose heights are the 8-bit fields of `total`: validated,
+    but not coerced row by row as `Tsscpp(heights)` coerces outside input."""
+    m = 2 * n
+    cells = tuple(total.to_bytes(m * m, "little"))
     a = object.__new__(Tsscpp)
-    a.n = len(heights) // 2
-    a.heights = heights
+    a.n = n
+    a.heights = tuple(cells[i:i + m] for i in range(0, m * m, m))
     a.validate()
     return a
 
@@ -184,31 +190,28 @@ def validate_triangle(n, tri):
 
 
 def from_triangle(n, tri) -> Tsscpp:
-    """Rebuild the full 2n x 2n array from the bottom-right triangle, block
-    by block (0-based, x and y in 0..n-1, low the bottom-right block):
-
-      low[x][y] = a[n+x][n+y] is the triangle and its mirror image: every
-        cell above it with height k <= n has its two largest coordinates in
-        the upper half, and none with k > n is in the solid (b[s][j] < n);
-      a[x][y] = 2n - low[n-1-x][n-1-y]: all of these cells are complements;
-      a[x][n+y] = a[n+y][x] = #{v in low[y] : v > x}
-                              + #{v in low[n-1-x] : v < n-y}:
-        its cells with k > n read low[y] at k, those with k <= n are
-        complements read off low[n-1-x].  The second count is n minus
-        #{v in low[n-1-x] : v > n-1-y}, so both read one `_above` per row.
-
-    The off-diagonal count assumes the bounds `validate_triangle` checks."""
+    """The 2n x 2n array of a triangle, K + _blocks(low, above) (see the
+    module docstring), for the bounds `validate_triangle` checks."""
     validate_triangle(n, tri)
-    m = 2 * n
     low = [[tri[max(x, y)][min(x, y)] for y in range(n)] for x in range(n)]
-    above = [_above(row, n) for row in low]
-    a = [[0] * m for _ in range(m)]
+    return _decode(n, _base(n) + _pack(_blocks(low, [_above(row, n) for row in low])))
+
+
+def _blocks(low, above):
+    """The part of an array linear in (low, above), flat and row-major: low
+    on the bottom-right block, minus low mirrored through (n-1-x, n-1-y) on
+    the top-left one, and above[y][x] - above[n-1-x][n-1-y] at (x, n+y) and
+    at its transpose (n+y, x)."""
+    n = len(low)
+    m = 2 * n
+    fields = [0] * (m * m)
     for x in range(n):
         for y in range(n):
-            a[n + x][n + y] = low[x][y]
-            a[x][y] = m - low[n - 1 - x][n - 1 - y]
-            a[x][n + y] = a[n + y][x] = above[y][x] + n - above[n - 1 - x][n - 1 - y]
-    return _array(tuple(map(tuple, a)))
+            fields[(n + x) * m + n + y] = low[x][y]
+            fields[x * m + y] = -low[n - 1 - x][n - 1 - y]
+            fields[x * m + n + y] = fields[(n + y) * m + x] = (
+                above[y][x] - above[n - 1 - x][n - 1 - y])
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +243,12 @@ def tsscpp_to_nilp(a: Tsscpp) -> Nilp:
 
 def nilp_to_tsscpp(p: Nilp) -> Tsscpp:
     """The array of a bundle: K plus each path's packed level share (see the
-    module docstring), read back one byte per height."""
+    module docstring)."""
     n = p.n
-    m = 2 * n
     total = _base(n)
     for t in range(1, n):
         total += _level(n, t, p.steps[t])
-    cells = tuple(total.to_bytes(m * m, "little"))
-    return _array(tuple(cells[i:i + m] for i in range(0, m * m, m)))
+    return _decode(n, total)
 
 
 def _pack(fields):
@@ -267,9 +268,8 @@ def _base(n):
 
 @cache
 def _level(n, t, path):
-    """The packed share H of path t (level c = n-t) of a size-n bundle, whose
+    """The packed share of path t (level c = n-t) of a size-n bundle, whose
     regular steps are `path`.  At most 2**t paths per (n, t) are cached."""
-    m = 2 * n
     c = n - t
     r = [0] * (n + 1)  # r[s]: where the level-c boundary crosses triangle row s
     x, s = 0, t
@@ -283,17 +283,8 @@ def _level(n, t, path):
     for s in range(1, x + 1):
         r[s] = s
     region = [[int(r[max(x, y) + 1] > min(x, y)) for y in range(n)] for x in range(n)]
-    counts = list(map(sum, region))
-    fields = [0] * (m * m)
-    for x in range(n):
-        for y in range(n):
-            fields[(n + x) * m + n + y] += region[x][y]
-            fields[x * m + y] -= region[n - 1 - x][n - 1 - y]
-        fields[(c - 1) * m + n + x] += counts[x]
-        fields[(n + x) * m + c - 1] += counts[x]
-        fields[x * m + 2 * n - c] -= counts[n - 1 - x]
-        fields[(2 * n - c) * m + x] -= counts[n - 1 - x]
-    return _pack(fields)
+    return _pack(_blocks(region, [[0] * (c - 1) + [sum(row)] + [0] * (n - c)
+                                  for row in region]))
 
 
 def enumerate_tsscpps(n: int):

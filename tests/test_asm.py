@@ -7,6 +7,7 @@ from asmpp.asm import (
     Asm,
     RefinedStat,
     _extensions,
+    _rows,
     asm_count_formula,
     enumerate_asms,
     genfun_doubly_refined,
@@ -124,3 +125,17 @@ def test_single_refinement_agrees_between_conventions():
         for (i, _j), c in rev.coeffs.items():
             rx[i] = rx.get(i, 0) + c
         assert tx == rx
+
+
+def test_the_row_table_holds_the_states_walked_and_no_more():
+    # the table lives as long as the process, so its size is pinned: the
+    # walk of size n reaches its 2**n - 1 states, and the counting DP adds
+    # nothing even at the genfun cap n = 12
+    _rows.cache_clear()
+    assert sum(1 for _ in enumerate_asms(6)) == 7436
+    states = [s for k in range(6) for s in itertools.combinations(range(6), k)]
+    assert _rows.cache_info().currsize == len(states) == 63
+    assert sum(len(_rows(s, 6)) for s in states) == 364
+    assert _rows.cache_info().currsize == 63
+    genfun_doubly_refined(12)
+    assert _rows.cache_info().currsize == 63

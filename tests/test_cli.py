@@ -592,8 +592,10 @@ def _recorded_reports(monkeypatch):
 
 def test_enumerate_lays_out_each_distinct_row_once(monkeypatch):
     """One json.dumps for the head and one per distinct row, not one per
-    ASM: 429 objects share far fewer rows."""
+    ASM: 429 objects share far fewer rows.  The row texts are cached per
+    process, so the cache starts empty here."""
     real, calls = json.dumps, []
+    cli._part_text.cache_clear()
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -607,22 +609,26 @@ def test_enumerate_lays_out_each_distinct_row_once(monkeypatch):
 
 
 def test_a_repeated_call_leaves_little_cyclic_garbage():
-    """The parser is built once per process, so a second call leaves only
-    the cycles of its json.dumps (about 33 objects), not the 200-odd of a
-    new parser's actions."""
-    argv = ["genfun", "asm-tilde", "--n", "4"]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        run_cli(*argv)
-        gc.collect()
-        code, _ = run_cli(*argv)
-        left = gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
-    assert code == 0
-    assert left < 60
+    """The parser is built once per process and the part texts of
+    `enumerate` once per process too, so a second call leaves only the
+    cycles of one json.dumps (about 33 objects), not the 200-odd of a new
+    parser's actions or those of a json.dumps per distinct part."""
+    for argv in (["genfun", "asm-tilde", "--n", "4"],
+                 ["enumerate", "asm", "--n", "5", "--format", "json"],
+                 ["enumerate", "nilp", "--n", "5", "--format", "json"],
+                 ["enumerate", "tsscpp", "--n", "4", "--format", "json"]):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_cli(*argv)
+            gc.collect()
+            code, _ = run_cli(*argv)
+            left = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert code == 0, argv
+        assert left < 60, (argv, left)
 
 
 def test_a_command_patched_after_the_first_call_runs(monkeypatch):

@@ -6,6 +6,7 @@ from brute_oracles import brute_genfun_U
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
 from asmpp.nilp import (
     Nilp,
+    _children,
     enumerate_nilps,
     genfun_U,
     involution_g,
@@ -175,3 +176,20 @@ def test_json_shape():
     assert d == {"paths": [{"steps": "", "extra": "D"},
                            {"steps": "D", "extra": "V"},
                            {"steps": "VD", "extra": "V"}]}
+
+
+def test_the_children_table_holds_the_profiles_walked_and_no_more():
+    # the table lives as long as the process, so its size is pinned: the
+    # walk of size n expands the empty profile and the 2**(n-1) - 1 of
+    # paths 0..n-2, and the counting DP adds nothing even at n = 11
+    _children.cache_clear()
+    assert sum(1 for _ in enumerate_nilps(6)) == 7436
+    parents, level = {()}, [()]
+    for _ in range(5):
+        level = {child for prev in level for child, _, _ in _children(prev)}
+        parents |= level
+    assert _children.cache_info().currsize == len(parents) == 32
+    assert sum(len(_children(prev)) for prev in parents) == 462
+    assert _children.cache_info().currsize == 32
+    genfun_U(11, 0, 1)
+    assert _children.cache_info().currsize == 32
