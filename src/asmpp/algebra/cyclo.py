@@ -19,6 +19,12 @@ products are int operations followed by one three-argument gcd, skipped when
 d = 1.  The rational coordinates c0 = n0/d and c1 = n1/d, the norm and the
 printed forms are `Fraction`s built only at that boundary.
 
+Loops that stay in Z[zeta] (the scalar Bareiss kernel of `matrix.py` and
+the elementary symmetric sums of `schur.py`) skip the objects and work on
+int pairs (n0, n1): `scaled_pairs` clears the denominators of a list of
+values with one common factor, `pair_mul` is the product rule and
+`pair_div` the exact quotient, through the conjugate and the norm.
+
 All operations are exact; there is no floating point anywhere.
 """
 
@@ -45,6 +51,8 @@ class CycloScalar:
     """(n0 + n1*zeta)/d with zeta**2 = zeta - 1; immutable and hashable."""
 
     __slots__ = ("_t",)
+
+    from_ints = staticmethod(_make)
 
     def __init__(self, c0=0, c1=0):
         if not (isinstance(c0, _Rat) and isinstance(c1, _Rat)):
@@ -217,6 +225,36 @@ class CycloScalar:
             return f"{c1}*zeta"
         sign = "+" if c1 > 0 else "-"
         return f"{c0} {sign} {abs(c1)}*zeta"
+
+
+def pair_mul(a0, a1, b0, b1):
+    """(a0 + a1*zeta)(b0 + b1*zeta) as an int pair, by zeta**2 = zeta - 1."""
+    a1b1 = a1 * b1
+    return a0 * b0 - a1b1, a0 * b1 + a1 * b0 + a1b1
+
+
+def pair_div(a0, a1, b0, b1):
+    """The quotient (a0 + a1*zeta)/(b0 + b1*zeta) as an int pair, when it
+    lies in Z[zeta]: a times the conjugate (b0 + b1) - b1*zeta, divided by
+    the norm b0**2 + b0*b1 + b1**2.  Raises ValueError when the quotient is
+    not in Z[zeta]."""
+    c0, c1 = pair_mul(a0, a1, b0 + b1, -b1)
+    norm = b0 * b0 + b0 * b1 + b1 * b1
+    q0, r0 = divmod(c0, norm)
+    q1, r1 = divmod(c1, norm)
+    if r0 or r1:
+        raise ValueError(f"inexact division ({a0} + {a1}*zeta)/({b0} + {b1}*zeta)")
+    return q0, q1
+
+
+def scaled_pairs(values):
+    """(pairs, d): d is the lcm of the denominators of `values` (ints,
+    Fractions or CycloScalars), and d*values[i] = n0 + n1*zeta for
+    (n0, n1) = pairs[i]."""
+    triples = [v._t if isinstance(v, CycloScalar) else (v.numerator, 0, v.denominator)
+               for v in values]
+    d = lcm(*(t[2] for t in triples))
+    return [(n0 * (d // e), n1 * (d // e)) for n0, n1, e in triples], d
 
 
 _new = object.__new__

@@ -1,34 +1,87 @@
-"""Exact determinants over scalars and polynomials.
+"""Exact determinants over scalars and polynomials, by fraction-free
+(Bareiss) elimination.
 
-Fraction-free Bareiss elimination is used throughout: over a field the
-divisions are ordinary, over a polynomial ring they are exact polynomial
-divisions (guaranteed exact by the Sylvester identity).
+A scalar matrix (int, `Fraction` or `CycloScalar` entries) is eliminated on
+ints: each row is scaled by the lcm of its entries' denominators, so that
+every entry becomes a Z[zeta] int pair (n0, n1) (n1 = 0 for a rational
+entry), and one Bareiss loop runs over the pairs with `cyclo.pair_mul`.  By
+the Sylvester identity each step's division by the previous pivot is exact
+in Z[zeta]; `cyclo.pair_div` makes it through the pivot's conjugate and
+norm, and raises ValueError on a remainder.  The determinant of the scaled
+matrix is divided once, at the end, by the product of the row scales, and
+returned in the ring of the input: int for an int matrix, `Fraction` for a
+rational one, and `CycloScalar` as soon as one entry is a `CycloScalar`.
+
+A matrix with a `MultiPoly` entry is eliminated on `MultiPoly`s, every entry
+lifted to the polynomial ring, with exact polynomial divisions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from .cyclo import CycloScalar, pair_div, pair_mul, scaled_pairs
 from .poly import MultiPoly
-
-
-def _exact_div(a, b):
-    if isinstance(a, MultiPoly):
-        return a.exact_div(b)
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r != 0:
-            raise ValueError(f"inexact integer division {a}/{b} in Bareiss step")
-        return q
-    return a / b  # Fraction and CycloScalar promote each other
 
 
 def determinant(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in m]
-    n = len(a)
-    if n == 0:
+    if not m:
         return 1
+    types = {type(e) for row in m for e in row}
+    if MultiPoly in types:
+        return _poly_determinant(m)
+    scale = 1
+    rows = []
+    for row in m:
+        pairs, d = scaled_pairs(row)
+        rows.append(pairs)
+        scale *= d
+    r0, r1 = _pair_bareiss(rows)
+    if CycloScalar in types:
+        return CycloScalar.from_ints(r0, r1, scale)
+    return Fraction(r0, scale) if Fraction in types else r0
+
+
+def _pair_bareiss(a):
+    """The determinant of a square matrix of Z[zeta] int pairs, as a pair;
+    the rows of `a` are overwritten."""
+    n = len(a)
     sign = 1
-    prev = 1
+    p0, p1 = 1, 0
+    for k in range(n - 1):
+        if a[k][k] == (0, 0):
+            for i in range(k + 1, n):
+                if a[i][k] != (0, 0):
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, 0
+        pivot_row = a[k]
+        k0, k1 = pivot_row[k]
+        divide = (p0, p1) != (1, 0)
+        for row in a[k + 1:]:
+            i0, i1 = row[k]
+            for j in range(k + 1, n):
+                r0, r1 = row[j]
+                s0, s1 = pivot_row[j]
+                x0, x1 = pair_mul(k0, k1, r0, r1)
+                y0, y1 = pair_mul(i0, i1, s0, s1)
+                row[j] = (pair_div(x0 - y0, x1 - y1, p0, p1) if divide
+                          else (x0 - y0, x1 - y1))
+        p0, p1 = k0, k1
+    r0, r1 = a[n - 1][n - 1]
+    return sign * r0, sign * r1
+
+
+def _poly_determinant(m):
+    variables = next(e.vars for row in m for e in row if isinstance(e, MultiPoly))
+    a = [[e if isinstance(e, MultiPoly) else MultiPoly.constant(variables, e)
+          for e in row] for row in m]
+    n = len(a)
+    sign = 1
+    prev = None
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -37,12 +90,11 @@ def determinant(m):
                     sign = -sign
                     break
             else:
-                return 0 * a[0][0]
+                return a[0][0] * 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _exact_div(num, prev) if prev != 1 else num
-            a[i][k] = 0
+                a[i][j] = num if prev is None else num.exact_div(prev)
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return result if sign == 1 else -result
@@ -56,4 +108,3 @@ def perm_sign(perm):
             if perm[a] > perm[b]:
                 sign = -sign
     return sign
-

@@ -2,32 +2,31 @@
 
 At q = zeta**2 the normalized six-vertex sum equals the Schur function of
 the double-staircase shape (n-1, n-1, n-2, n-2, ..., 1, 1) in 2n variables.
-Everything here is evaluated exactly: the Schur function through a
-Jacobi-Trudi determinant in complete homogeneous sums (robust at repeated
-points, unlike the bialternant, which is kept as a cross-check), the ballot
+Everything here is evaluated exactly: the Schur function, the ballot
 specializations where the value collapses to a power of 3, the wheel
 condition, the degree-lowering recursion and the explicit residue-sum form
 of the contour-integral representation.
+
+The Schur function is the dual Jacobi-Trudi determinant
+det[e_{lambda'_i - i + j}] in the elementary symmetric sums e_k, over the
+conjugate shape lambda' = (2n-2, 2n-4, ..., 2); it holds at any points,
+repeated ones included, and has n - 1 rows where det[h_{lambda_i - i + j}]
+has 2(n - 1).  It is homogeneous of degree |lambda| = n(n-1), so the 2n
+points are first scaled by their common denominator D: the e_k of the
+scaled points come out of the recurrence e_k += z*e_(k-1) (k running
+down) on Z[zeta] int pairs, the determinant of their matrix is taken by `determinant`'s pair
+Bareiss, and one division by D**(n(n-1)) at the end gives the value.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra.cyclo import CycloScalar, Q3, Q3_INV
+from .algebra.cyclo import CycloScalar, Q3, Q3_INV, pair_mul, scaled_pairs
 from .algebra.matrix import determinant, perm_sign
 from .checks import check
-
-
-def staircase_shape(n: int):
-    """(n-1, n-1, n-2, n-2, ..., 1, 1) as a tuple (empty for n = 1)."""
-    shape = []
-    for k in range(n - 1, 0, -1):
-        shape += [k, k]
-    return tuple(shape)
 
 
 def staircase_sign(n: int) -> int:
@@ -35,59 +34,32 @@ def staircase_sign(n: int) -> int:
     return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
-def _lift_points(points):
-    if any(isinstance(p, CycloScalar) for p in points):
-        return [CycloScalar.coerce(p) for p in points], CycloScalar(1)
-    return [Fraction(p) for p in points], Fraction(1)
-
-
-def complete_homogeneous(points, maxdeg: int):
-    """h_0 .. h_maxdeg of the given points, by expanding prod 1/(1 - z*w)."""
-    points, one = _lift_points(points)
-    h = [one] + [one * 0] * maxdeg
-    for z in points:
-        for k in range(1, maxdeg + 1):
-            h[k] = h[k] + z * h[k - 1]
-    return h
-
-
 def schur_staircase(n: int, points):
-    """The staircase Schur function in 2n variables, exactly.
-
-    Jacobi-Trudi: det[ h_{lambda_i - i + j} ], valid at arbitrary (possibly
-    repeated) points.
-    """
+    """The staircase Schur function in 2n variables, exactly: a CycloScalar
+    if a point is one, else a Fraction (see the module docstring)."""
     if len(points) != 2 * n:
         raise ValueError("need 2n evaluation points")
-    shape = staircase_shape(n)
-    ell = len(shape)
-    if ell == 0:
-        _, one = _lift_points(points)
-        return one
-    h = complete_homogeneous(points, shape[0] + ell - 1)
-    zero = h[0] * 0
-    mat = [
-        [h[shape[i] - i + j] if 0 <= shape[i] - i + j < len(h) else zero
-         for j in range(ell)]
-        for i in range(ell)
-    ]
-    return determinant(mat)
-
-
-def schur_staircase_bialternant(n: int, points):
-    """Bialternant form det[z_i^(lambda_j + 2n - j)] / det[z_i^(2n - j)].
-
-    Only valid at pairwise distinct points; used as an independent oracle.
-    """
-    points, one = _lift_points(points)
-    if len(set(points)) != len(points):
-        raise ValueError("bialternant form needs pairwise distinct points")
+    cyclo = any(isinstance(p, CycloScalar) for p in points)
+    if n == 1:
+        return CycloScalar(1) if cyclo else Fraction(1)
+    zs, d = scaled_pairs(points)
     m = 2 * n
-    shape = list(staircase_shape(n)) + [0, 0]
-    num = [[points[i] ** (shape[j] + m - 1 - j) for j in range(m)] for i in range(m)]
-    den = [[points[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
-    # `one` keeps n = 0 exact: an empty determinant is the int 1
-    return one * determinant(num) / determinant(den)
+    e = [(1, 0)] + [(0, 0)] * m
+    for count, (z0, z1) in enumerate(zs, 1):
+        for k in range(count, 0, -1):
+            g0, g1 = e[k - 1]
+            x0, x1 = pair_mul(z0, z1, g0, g1)
+            e0, e1 = e[k]
+            e[k] = (e0 + x0, e1 + x1)
+    if cyclo:
+        e = [CycloScalar.from_ints(e0, e1, 1) for e0, e1 in e]
+    else:
+        e = [e0 for e0, _ in e]
+    zero = e[0] * 0
+    conjugate = range(m - 2, 0, -2)  # the shape's conjugate (2n-2, 2n-4, ..., 2)
+    mat = [[e[c - i + j] if 0 <= c - i + j <= m else zero for j in range(n - 1)]
+           for i, c in enumerate(conjugate)]
+    return determinant(mat) * Fraction(1, d ** (n * (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -121,10 +93,6 @@ def dyck_specializations(n: int):
         except ValueError:
             pass
     return specs
-
-
-def catalan(n: int) -> int:
-    return math.factorial(2 * n) // math.factorial(n) // math.factorial(n + 1)
 
 
 def verify_dyck_values(n: int):

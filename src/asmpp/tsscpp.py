@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate
+from operator import add
 
 from .nilp import Nilp, VERT, DIAG, enumerate_nilps
 
@@ -121,11 +122,11 @@ class Tsscpp:
         return [list(r) for r in self.heights]
 
 
-def _decode(n, total):
-    """The TSSCPP whose heights are the 8-bit fields of `total`: validated,
+def _decode(n, cells):
+    """The TSSCPP whose heights are the bytes `cells`, row-major: validated,
     but not coerced row by row as `Tsscpp(heights)` coerces outside input."""
     m = 2 * n
-    cells = tuple(total.to_bytes(m * m, "little"))
+    cells = tuple(cells)
     a = object.__new__(Tsscpp)
     a.n = n
     a.heights = tuple(cells[i:i + m] for i in range(0, m * m, m))
@@ -191,10 +192,12 @@ def validate_triangle(n, tri):
 
 def from_triangle(n, tri) -> Tsscpp:
     """The 2n x 2n array of a triangle, K + _blocks(low, above) (see the
-    module docstring), for the bounds `validate_triangle` checks."""
+    module docstring) added cell by cell, for the bounds `validate_triangle`
+    checks."""
     validate_triangle(n, tri)
     low = [[tri[max(x, y)][min(x, y)] for y in range(n)] for x in range(n)]
-    return _decode(n, _base(n) + _pack(_blocks(low, [_above(row, n) for row in low])))
+    fields = _blocks(low, [_above(row, n) for row in low])
+    return _decode(n, bytes(map(add, _base(n).to_bytes(4 * n * n, "little"), fields)))
 
 
 def _blocks(low, above):
@@ -248,7 +251,7 @@ def nilp_to_tsscpp(p: Nilp) -> Tsscpp:
     total = _base(n)
     for t in range(1, n):
         total += _level(n, t, p.steps[t])
-    return _decode(n, total)
+    return _decode(n, total.to_bytes(4 * n * n, "little"))
 
 
 def _pack(fields):

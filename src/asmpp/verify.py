@@ -263,8 +263,8 @@ def suite_sixv_schur(n, seed, samples):
 # suite: (function, default n range, n limit, default sample count)
 SUITES = {
     "doubly-refined": (suite_doubly_refined, (1, 5), 9, None),
-    "dyck": (suite_dyck, (1, 4), 6, None),
-    "wheel": (suite_wheel, (2, 3), 8, 20),
+    "dyck": (suite_dyck, (1, 4), 8, None),
+    "wheel": (suite_wheel, (2, 3), 14, 20),
     "recursion": (suite_recursion, (2, 3), 7, 5),
     "zeilid": (suite_zeilid, (1, 4), 5, None),
     "a-independence": (suite_a_independence, (1, 4), 6, None),

@@ -11,6 +11,7 @@ from functools import lru_cache
 from random import Random
 
 from brute_oracles import brute_doubly_refined, brute_genfun_U
+from schur_oracles import catalan
 
 from asmpp import antisym, contour
 from asmpp.algebra.cyclo import ZETA
@@ -18,7 +19,6 @@ from asmpp.asm import asm_count_formula, enumerate_asms, genfun_doubly_refined
 from asmpp.lgv import lgv_genfun_xy
 from asmpp.nilp import enumerate_nilps, genfun_U, involution_g, involution_h, u_statistic
 from asmpp.schur import (
-    catalan,
     dyck_specializations,
     random_distinct_rationals,
     schur_staircase,

@@ -311,8 +311,8 @@ def test_verify_unknown_suite_or_bad_range():
     (("genfun", "nilp", "--n", "12"), 11),
     (("verify", "doubly-refined", "--n", "10"), 9),
     (("verify", "even-partitions", "--n", "6"), 5),
-    (("verify", "dyck", "--n", "7"), 6),
-    (("verify", "wheel", "--n", "9"), 8),
+    (("verify", "dyck", "--n", "9"), 8),
+    (("verify", "wheel", "--n", "15"), 14),
     (("verify", "zprime", "--n", "6"), 5),
     (("verify", "six-vertex", "--n", "7"), 6),
     (("verify", "bijections", "--n", "6"), 5),
@@ -328,7 +328,7 @@ def test_counting_route_caps(argv, cap, capsys):
 
 
 @pytest.mark.parametrize("suite, cap, total", [
-    ("dyck", 6, 132), ("wheel", 8, 20), ("zprime", 5, 20), ("six-vertex", 6, 10),
+    ("dyck", 8, 1430), ("wheel", 14, 20), ("zprime", 5, 20), ("six-vertex", 6, 10),
 ])
 def test_q3_suites_pass_at_their_cap(suite, cap, total):
     code, out = run_cli("verify", suite, "--n", str(cap))
@@ -542,6 +542,19 @@ def test_involution_failures_name_the_first_broken_bundle(monkeypatch, picks):
     assert failed["top-swap-involution"]["witness"] == targets[0].to_json_dict()
     assert failed["slice-swap-involution"]["witness"] == {
         "row": 1, **targets[0].to_json_dict()}
+
+
+def test_dyck_fails_on_a_sign_flipped_schur_determinant(monkeypatch):
+    from asmpp import schur
+    real = schur.determinant
+    monkeypatch.setattr(schur, "determinant", lambda m: -real(m))
+    code, out = run_cli("verify", "dyck", "--n", "3")
+    assert code == 1
+    report = json.loads(out)
+    first = next(c for c in report["checks"] if not c["pass"])
+    assert first == {"check": "ballot-specialization", "n": 3, "expected": "27",
+                     "got": "-27", "pass": False, "point": "---+++"}
+    assert report["failures"] == report["total"] == 5
 
 
 def test_doubly_refined_compares_two_independent_counts(monkeypatch):

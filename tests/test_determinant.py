@@ -1,7 +1,10 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from asmpp.algebra import CycloScalar, MultiPoly, determinant
+from asmpp.algebra.cyclo import pair_div, pair_mul
 
 
 def determinant_cofactor(m):
@@ -65,3 +68,108 @@ def test_polynomial_entries_fraction_free():
     m = [[x + y, x * y, 1 + x], [y, x ** 2, y ** 2 + 1], [x, 1 + y, x * y + 3]]
     assert determinant(m) == determinant_cofactor(m)
 
+
+def _int_entry(rng):
+    return rng.choice([0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-10**6, 10**6)])
+
+
+def _fraction_entry(rng):
+    return rng.choice([0, _int_entry(rng), Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                       Fraction(rng.randint(-99, 99), rng.randint(1, 10**4))])
+
+
+def _cyclo_entry(rng):
+    return rng.choice([0, _fraction_entry(rng),
+                       CycloScalar(_fraction_entry(rng), _fraction_entry(rng))])
+
+
+def _random_matrices(rng, entry):
+    """Square matrices of size 0..6: dense ones, ones whose zeros force row
+    swaps, and singular ones (a zero column, or a row that is a combination
+    of two others)."""
+    for size in range(7):
+        for _ in range(6):
+            m = [[entry(rng) for _ in range(size)] for _ in range(size)]
+            yield m
+            if size >= 2:
+                sparse = [[e if rng.randrange(5) < 2 else 0 for e in row] for row in m]
+                sparse[0][0] = 0  # the first pivot is zero
+                yield sparse
+                col = rng.randrange(size)
+                yield [[0 if j == col else e for j, e in enumerate(row)] for row in m]
+            if size >= 3:
+                a, b, c = rng.sample(range(size), 3)
+                u, v = entry(rng), entry(rng)
+                dependent = [row[:] for row in m]
+                dependent[c] = [u * x + v * y for x, y in zip(m[a], m[b])]
+                yield dependent
+
+
+@pytest.mark.parametrize("entry", [_int_entry, _fraction_entry, _cyclo_entry])
+def test_matches_cofactor_in_every_scalar_ring(entry):
+    rng = Random(entry.__name__)
+    seen_zero = False
+    for m in _random_matrices(rng, entry):
+        det = determinant(m)
+        assert det == determinant_cofactor(m), m
+        seen_zero |= det == 0 and len(m) > 0
+    assert seen_zero
+
+
+def test_zero_pivots_force_row_swaps():
+    assert determinant([[0, 0, 2], [0, 3, 5], [7, 11, 13]]) == -42
+    z = CycloScalar(0, 1)
+    m = [[0, z, 1], [z, 0, 2], [1, Fraction(1, 2), 0]]
+    assert determinant(m) == determinant_cofactor(m)
+    assert determinant([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (1 * 4 - 2 * 3)
+
+
+@pytest.mark.parametrize("m, ring", [
+    ([[2, 1], [1, 1]], int),
+    ([[2, 4], [1, 2]], int),
+    ([[Fraction(2), 1], [1, 1]], Fraction),
+    ([[Fraction(1, 2), 1], [1, 2]], Fraction),
+    ([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]], Fraction),
+    ([[CycloScalar(2), 1], [1, 1]], CycloScalar),
+    ([[CycloScalar(0, 1), 1], [Fraction(1, 3), 1]], CycloScalar),
+    ([[CycloScalar(0, 1), CycloScalar(0, 2)], [1, 2]], CycloScalar),
+    ([[0, 0], [0, CycloScalar(0, 1)]], CycloScalar),
+    ([[5]], int),
+    ([[Fraction(5, 3)]], Fraction),
+    ([[CycloScalar(0, 1)]], CycloScalar),
+])
+def test_result_keeps_the_ring_of_the_input(m, ring):
+    det = determinant(m)
+    assert type(det) is ring
+    assert det == determinant_cofactor(m)
+
+
+def test_the_empty_matrix_is_one():
+    assert determinant([]) == 1 and type(determinant([])) is int
+
+
+def test_rows_are_scaled_by_their_denominators():
+    # det of the scaled rows is 6 * 35 * det; one division at the end undoes it
+    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    assert determinant(m) == Fraction(1, 14) - Fraction(1, 15)
+    half = CycloScalar(Fraction(1, 2), Fraction(1, 2))
+    m = [[half, 1], [1, half]]
+    assert determinant(m) == half * half - 1
+
+
+def test_pair_arithmetic():
+    rng = Random(6)
+    for _ in range(200):
+        a = (rng.randint(-50, 50), rng.randint(-50, 50))
+        b = (rng.randint(-50, 50), rng.randint(-50, 50))
+        ab = pair_mul(*a, *b)
+        assert CycloScalar(*ab) == CycloScalar(*a) * CycloScalar(*b)
+        if b != (0, 0):
+            assert pair_div(*ab, *b) == a
+
+
+@pytest.mark.parametrize("a, b", [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((3, 1), (0, 2)),
+                                  ((7, 5), (2, -1))])
+def test_inexact_pair_division_raises(a, b):
+    with pytest.raises(ValueError, match="inexact"):
+        pair_div(*a, *b)

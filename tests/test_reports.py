@@ -27,8 +27,12 @@ asm and nilp at n = 6 (the benchmark's size) in all three formats and for
 tsscpp at n = 6 in json; the nilp digests were recorded from the
 occupied-site search that listed bundles before the profile walk, and the
 csv, pretty and tsscpp digests at n = 6 from the report built in memory
-before it was streamed.  The wheel suite is pinned at n = 6, 7 and 8
-(seed 11, json), recorded with the limit lifted before it was raised.  A change that keeps these digests keeps the reports
+before it was streamed.  The wheel suite is pinned at n = 6..14 and the
+dyck suite at n = 7 and 8 (seed 11, json), each recorded with the limit
+lifted before it was raised; wheel 9..14 and dyck 7 and 8 from the
+object-level Jacobi-Trudi route (`CycloScalar`/`Fraction` h_k and Bareiss)
+that the dual Jacobi-Trudi route on Z[zeta] int pairs replaced, which gives
+the same digests.  A change that keeps these digests keeps the reports
 byte-identical.
 """
 
@@ -102,8 +106,10 @@ def report_cases():
         for fmt in ("json", "csv", "pretty"):
             cases.append(("enumerate", kind, "--n", "6", "--format", fmt))
     cases.append(("enumerate", "tsscpp", "--n", "6", "--format", "json"))
-    for n in ("6", "7", "8"):
-        cases.append(("verify", "wheel", "--n", n, "--seed", "11", "--format", "json"))
+    for n in range(6, 15):
+        cases.append(("verify", "wheel", "--n", str(n), "--seed", "11", "--format", "json"))
+    for n in ("7", "8"):
+        cases.append(("verify", "dyck", "--n", n, "--seed", "11", "--format", "json"))
     return cases
 
 
@@ -810,4 +816,20 @@ DIGESTS = {
         "9e0b87ad9717353370d4813a66d069d7eaaf06b2acc0987f2862b44d5628080a",
     "verify wheel --n 8 --seed 11 --format json":
         "6e38f0ec4130a4d7b1ef1ff50c2f329cb8d413f6f1ede874d31fe8d157b7d402",
+    "verify wheel --n 9 --seed 11 --format json":
+        "40ad5ec1b2ae8e8d506354b95ce2443590f40c94fd5d6c8664e677c07a4f63f4",
+    "verify wheel --n 10 --seed 11 --format json":
+        "3b693eb45dee4c2a1b36aa4a4027c1df612f33c4741876fd4897201c5025547d",
+    "verify wheel --n 11 --seed 11 --format json":
+        "eb1f78b363cda97453e861e957f1b8c954be0d2df8d7a1ecd0b6fe007bf4249e",
+    "verify wheel --n 12 --seed 11 --format json":
+        "c47994d8b5d887073b80d7e21f14ad1869a5b7298d7ca1cabb2557ce48472c88",
+    "verify wheel --n 13 --seed 11 --format json":
+        "e0048dd2017bc6903b1b2be336846a48a18fa9e49e05b8827646eef3cbc7912e",
+    "verify wheel --n 14 --seed 11 --format json":
+        "a83ce003ce9f76ec8bb0989578ad828a4b598bb2c376e505c0eb218946559a87",
+    "verify dyck --n 7 --seed 11 --format json":
+        "a39e3405d7afc5349fa46cd2168d6f479cb1ce15e44bd8b7f31c8ab523de2605",
+    "verify dyck --n 8 --seed 11 --format json":
+        "ba55e0a4c7bec26a04c6a290d11b988780822cab07561cf88b90312eb707e05a",
 }

@@ -3,16 +3,20 @@ from random import Random
 
 import pytest
 
+from schur_oracles import (
+    catalan,
+    schur_staircase_bialternant,
+    schur_staircase_jacobi_trudi,
+    staircase_shape,
+)
+
 from asmpp.algebra.cyclo import CycloScalar, Q3, Q3_INV
 from asmpp.schur import (
     DyckSpec,
-    catalan,
     dyck_specializations,
     random_distinct_rationals,
     recursion_check_q3,
     schur_staircase,
-    schur_staircase_bialternant,
-    staircase_shape,
     verify_dyck_values,
     wheel_check,
     zprime_residue_sum,
@@ -29,6 +33,60 @@ def test_small_values():
     assert schur_staircase(1, [1, 1]) == 1
     assert schur_staircase(2, [1, 1, 1, 1]) == 6  # e_2 of four ones
     assert schur_staircase(2, [Q3_INV, Q3_INV, Q3, Q3]) == 3
+
+
+def _rational(rng, big=False):
+    if big:
+        return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**12))
+    return Fraction(rng.randint(-13, 13), rng.randint(1, 13))
+
+
+def _cyclo(rng, big=False):
+    return CycloScalar(_rational(rng, big), _rational(rng, big))
+
+
+def _oracle_points(rng, n):
+    """Point lists of length 2n: rational, with large denominators, with
+    repeated and zero coordinates, and mixed int/Fraction/zeta ones."""
+    m = 2 * n
+    yield [_rational(rng) for _ in range(m)]
+    yield [rng.randint(-5, 5) for _ in range(m)]
+    yield [_rational(rng, big=True) for _ in range(m)]
+    yield [_cyclo(rng, big=True) for _ in range(m)]
+    yield [_cyclo(rng) for _ in range(m)]
+    z = _rational(rng)
+    yield [z] * m
+    yield [CycloScalar(0, 1)] * m
+    yield [0] * m
+    yield [Fraction(0)] * (m - 1) + [_rational(rng)]
+    pool = [0, Fraction(1, 3), Q3, Q3_INV, _rational(rng), _cyclo(rng), 7]
+    for _ in range(3):
+        yield [rng.choice(pool) for _ in range(m)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_equals_the_object_level_jacobi_trudi_oracle(n):
+    rng = Random(n)
+    for points in _oracle_points(rng, n):
+        got = schur_staircase(n, points)
+        want = schur_staircase_jacobi_trudi(n, points)
+        assert got == want, points
+        assert type(got) is type(want), points
+    for spec in dyck_specializations(n):
+        assert schur_staircase(n, spec.point()) == schur_staircase_jacobi_trudi(n, spec.point())
+
+
+def test_result_types():
+    assert type(schur_staircase(1, [Fraction(1, 2), 3])) is Fraction
+    assert type(schur_staircase(1, [1, 3])) is Fraction
+    assert type(schur_staircase(1, [Q3, 3])) is CycloScalar
+    assert schur_staircase(1, [Q3, 3]) == 1
+    assert type(schur_staircase(2, [1, 2, 3, 4])) is Fraction
+    assert type(schur_staircase(2, [Fraction(1, 2), 2, 3, 4])) is Fraction
+    assert type(schur_staircase(2, [Q3, 2, 3, 4])) is CycloScalar
+    assert type(schur_staircase(2, [CycloScalar(1), 2, 3, 4])) is CycloScalar
+    assert type(schur_staircase(3, [0] * 6)) is Fraction
+    assert type(schur_staircase(3, [CycloScalar(0)] * 6)) is CycloScalar
 
 
 def test_bialternant_agrees_at_distinct_points():
@@ -87,7 +145,7 @@ def test_dyck_examples():
     assert [s.eps for s in dyck_specializations(1)] == [(-1, 1)]
     assert len(dyck_specializations(2)) == 2
     assert len(dyck_specializations(5)) == 42
-    for n in range(1, 7):  # strictly increasing: the pinned dyck reports' order
+    for n in range(1, 9):  # strictly increasing: the pinned dyck reports' order
         eps = [spec.eps for spec in dyck_specializations(n)]
         assert len(eps) == catalan(n)
         assert all(a < b for a, b in zip(eps, eps[1:]))
