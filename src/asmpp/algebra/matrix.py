@@ -1,5 +1,5 @@
-"""Exact determinants over scalars and polynomials, by fraction-free
-(Bareiss) elimination.
+"""Exact determinants over scalars, by fraction-free (Bareiss) elimination,
+and over polynomials.
 
 A scalar matrix (int, `Fraction` or `CycloScalar` entries) is eliminated on
 ints: each row is scaled by the lcm of its entries' denominators, so that
@@ -12,25 +12,35 @@ matrix is divided once, at the end, by the product of the row scales, and
 returned in the ring of the input: int for an int matrix, `Fraction` for a
 rational one, and `CycloScalar` as soon as one entry is a `CycloScalar`.
 
-A matrix with a `MultiPoly` entry is eliminated on `MultiPoly`s, every entry
-lifted to the polynomial ring, with exact polynomial divisions.
+A matrix with a `MultiPoly` entry is expanded as the signed sum over
+permutations of the products of its entries, with no division; only the
+tests' LGV oracle (`lgv.lgv_genfun_det`) reaches that case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 from .cyclo import CycloScalar, pair_div, pair_mul, scaled_pairs
 from .poly import MultiPoly
 
 
 def determinant(m):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.  A matrix
+    with a `MultiPoly` entry is expanded over permutations without division,
+    into a `MultiPoly` even when it is singular."""
     if not m:
         return 1
     types = {type(e) for row in m for e in row}
     if MultiPoly in types:
-        return _poly_determinant(m)
+        total = MultiPoly(next(e.vars for row in m for e in row if isinstance(e, MultiPoly)))
+        for p in permutations(range(len(m))):
+            entries = [row[j] for row, j in zip(m, p)]
+            if all(entries):
+                total += perm_sign(p) * prod(entries)
+        return total
     scale = 1
     rows = []
     for row in m:
@@ -73,31 +83,6 @@ def _pair_bareiss(a):
         p0, p1 = k0, k1
     r0, r1 = a[n - 1][n - 1]
     return sign * r0, sign * r1
-
-
-def _poly_determinant(m):
-    variables = next(e.vars for row in m for e in row if isinstance(e, MultiPoly))
-    a = [[e if isinstance(e, MultiPoly) else MultiPoly.constant(variables, e)
-          for e in row] for row in m]
-    n = len(a)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return a[0][0] * 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else num.exact_div(prev)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
 
 
 def perm_sign(perm):

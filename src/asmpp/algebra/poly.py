@@ -147,7 +147,9 @@ class MultiPoly:
         return max(e[idx] for e in self.terms)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises ValueError if not divisible."""
+        """Exact polynomial division; raises ValueError if not divisible.
+        No code in `src/` calls it; it stays because the perfbench tracer
+        hooks it."""
         divisor = self._coerce(divisor)
         if not divisor.terms:
             raise ZeroDivisionError("polynomial division by zero")

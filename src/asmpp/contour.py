@@ -415,24 +415,6 @@ def _even_odd_sequences(n: int, bound: int):
     return seqs
 
 
-def vandermonde_antisym_identity(n: int) -> bool:
-    """AS{ prod_i (1+tau u_i)^(i-1) u_i^(2n-2i) } equals
-    prod_{i<j} (u_i-u_j)(u_i+u_j+tau u_i u_j), with tau symbolic."""
-    u = [f"u{i}" for i in range(1, n + 1)]
-    variables = tuple(u) + ("tau",)
-    lhs = MultiPoly(variables)
-    for perm in permutations(range(n)):
-        us = [u[p] for p in perm]
-        term = _poly((perm_sign(perm), {ui: 2 * n - 2 * i for i, ui in enumerate(us, 1)}))
-        term = term.align(variables)
-        for i, ui in enumerate(us, 1):
-            term = term * _one_plus({ui: 1, "tau": 1}).align(variables) ** (i - 1)
-        lhs = lhs + term
-    rhs = math.prod((f.align(variables) for f in _vandermonde_pairs(u, {"tau": 1})),
-                    start=MultiPoly.constant(variables, 1))
-    return lhs == rhs
-
-
 def homogeneous_limit_check(n: int):
     """The two homogeneous-limit integrand forms must give equal iterated
     residues: n! times the ordered form equals the fully antisymmetrized

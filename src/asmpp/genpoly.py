@@ -71,17 +71,6 @@ class GenPoly:
             return (-1, -1)
         return (max(i for i, _ in self.coeffs), max(j for _, j in self.coeffs))
 
-    def evaluate(self, x, y):
-        result = 0
-        for (i, j), c in self.coeffs.items():
-            term = c
-            for _ in range(i):
-                term = term * x
-            for _ in range(j):
-                term = term * y
-            result = result + term
-        return result
-
     def coefficient_matrix(self):
         """Dense (deg_x+1) x (deg_y+1) matrix of coefficients."""
         dx, dy = self.max_degree()

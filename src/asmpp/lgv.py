@@ -21,7 +21,7 @@ entry lies below r must already be used, which prunes every state that
 cannot complete.  Only ring products, sums and negation are needed, so the
 same DP runs on the weights' ring in lgv_genfun and, by packed_minor_sum, on
 Kronecker-packed ints in lgv_genfun_xy, contour.integral_A and integral_U.
-The sum of one Bareiss determinant per endpoint sequence stays as
+The sum of one determinant per endpoint sequence stays as
 lgv_genfun_det, the test oracle.
 """
 
@@ -136,7 +136,7 @@ def lgv_genfun(n: int, weights):
 
 
 def lgv_genfun_det(n: int, weights):
-    """The same sum as lgv_genfun, with one Bareiss determinant per endpoint
+    """The same sum as lgv_genfun, with one determinant per endpoint
     sequence; kept as the test oracle."""
     if len(weights) != n:
         raise ValueError("need one weight per slab (length n)")

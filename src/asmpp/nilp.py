@@ -90,10 +90,6 @@ class Nilp:
             sites.append((x, y))
         return sites
 
-    def final_x(self, t) -> int:
-        """x-coordinate of path t after the extra step."""
-        return t + (self.steps[t] + self.extra[t]).count(DIAG)
-
     def __eq__(self, other):
         return isinstance(other, Nilp) and self.steps == other.steps
 

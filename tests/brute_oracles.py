@@ -27,19 +27,24 @@ the partial-sum typing `sixvertex.asm_to_six_vertex` uses.
 `asm_to_six_vertex` looks up one cached transition per row, and
 `crossing_tsscpp` builds a bundle's height array through its crossings and
 triangle, where `tsscpp.nilp_to_tsscpp` sums packed per-path shares.
+`genpoly_value`, `final_x` and `vandermonde_antisym_identity` are
+test-only helpers: a `GenPoly` at a point, a path's endpoint after its
+extra step, and the antisymmetrized Vandermonde identity with tau symbolic.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 from asmpp import contour
 from asmpp.algebra.matrix import perm_sign
+from asmpp.algebra.poly import MultiPoly
 from asmpp.antisym import SingularSampleError, h1, hq
 from asmpp.asm import _extensions, enumerate_asms, refined_stat
 from asmpp.genpoly import GenPoly
-from asmpp.nilp import VERT, enumerate_nilps, u_statistic
+from asmpp.nilp import DIAG, VERT, enumerate_nilps, u_statistic
 from asmpp.sixvertex import _TYPE_FROM_STATE, asm_to_six_vertex
 from asmpp.tsscpp import TsscppError, _above, from_triangle
 
@@ -324,3 +329,39 @@ def bn_permutation_sum(n: int, w, z, r):
             raise SingularSampleError("denominator vanished in antisymmetrized sum")
         total += perm_sign(perm) * num / den
     return total
+
+
+def genpoly_value(p, x, y):
+    """The `GenPoly` p at (x, y), summed term by term."""
+    result = 0
+    for (i, j), c in p.coeffs.items():
+        term = c
+        for _ in range(i):
+            term = term * x
+        for _ in range(j):
+            term = term * y
+        result = result + term
+    return result
+
+
+def final_x(p, t) -> int:
+    """x-coordinate of path t of the bundle p after the extra step."""
+    return t + (p.steps[t] + p.extra[t]).count(DIAG)
+
+
+def vandermonde_antisym_identity(n: int) -> bool:
+    """AS{ prod_i (1+tau u_i)^(i-1) u_i^(2n-2i) } equals
+    prod_{i<j} (u_i-u_j)(u_i+u_j+tau u_i u_j), with tau symbolic."""
+    u = [f"u{i}" for i in range(1, n + 1)]
+    variables = tuple(u) + ("tau",)
+    lhs = MultiPoly(variables)
+    for perm in permutations(range(n)):
+        us = [u[p] for p in perm]
+        term = contour._poly((perm_sign(perm), {ui: 2 * n - 2 * i for i, ui in enumerate(us, 1)}))
+        term = term.align(variables)
+        for i, ui in enumerate(us, 1):
+            term = term * contour._one_plus({ui: 1, "tau": 1}).align(variables) ** (i - 1)
+        lhs = lhs + term
+    rhs = prod((f.align(variables) for f in contour._vandermonde_pairs(u, {"tau": 1})),
+               start=MultiPoly.constant(variables, 1))
+    return lhs == rhs

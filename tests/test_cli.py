@@ -20,6 +20,17 @@ from asmpp.nilp import enumerate_nilps
 from asmpp.tsscpp import enumerate_tsscpps, nilp_to_tsscpp
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env():
+    """The environment of a `python -m asmpp.cli` subprocess: this checkout's
+    `src` first on PYTHONPATH, so it runs this tree's code, never an
+    installed copy."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+
+
 def run_cli(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -239,7 +250,7 @@ def test_out_into_a_pipe_writes_it_in_place(tmp_path):
 def test_a_closed_stdout_exits_2_without_a_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "asmpp.cli", "enumerate", "asm", "--n", "6"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
     )
     assert proc.stdout.read(100).startswith("{")
     proc.stdout.close()  # the report is about 1 MB, well past a pipe's buffer
@@ -362,7 +373,7 @@ def test_reports_identical_across_worker_counts(tmp_path):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "asmpp.cli", "verify", "even-partitions", "--n", "1..2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from brute_oracles import integral_U_residue
+from brute_oracles import integral_U_residue, vandermonde_antisym_identity
 
 from asmpp import contour
 from asmpp.algebra.poly import MultiPoly
@@ -25,7 +25,6 @@ from asmpp.contour import (
     iterated_residue,
     monomial_symmetric,
     phi_bilinear,
-    vandermonde_antisym_identity,
     zeilid_check,
 )
 from asmpp.lgv import lgv_genfun_xy

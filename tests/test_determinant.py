@@ -5,6 +5,12 @@ import pytest
 
 from asmpp.algebra import CycloScalar, MultiPoly, determinant
 from asmpp.algebra.cyclo import pair_div, pair_mul
+from asmpp.genpoly import GenPoly
+from asmpp.lgv import lgv_genfun, lgv_genfun_det, lgv_genfun_xy
+
+XY = ("x", "y")
+X = MultiPoly.variable(XY, "x")
+Y = MultiPoly.variable(XY, "y")
 
 
 def determinant_cofactor(m):
@@ -61,12 +67,44 @@ def test_field_entries():
     assert determinant(mc) == determinant_cofactor(mc)
 
 
+def _polynomial_matrix():
+    return [[X + Y, X * Y, 1 + X], [Y, X ** 2, Y ** 2 + 1], [X, 1 + Y, X * Y + 3]]
+
+
 def test_polynomial_entries_fraction_free():
-    xy = ("x", "y")
-    x = MultiPoly.variable(xy, "x")
-    y = MultiPoly.variable(xy, "y")
-    m = [[x + y, x * y, 1 + x], [y, x ** 2, y ** 2 + 1], [x, 1 + y, x * y + 3]]
+    m = _polynomial_matrix()
     assert determinant(m) == determinant_cofactor(m)
+
+
+def test_polynomial_determinants_never_divide(monkeypatch):
+    m = _polynomial_matrix()
+    expected = determinant_cofactor(m)
+    weights = (X, Y, 1, 1, 1, 1)
+    paths = lgv_genfun(6, weights)
+
+    def refuse(self, divisor):
+        raise AssertionError("a polynomial determinant divided")
+
+    monkeypatch.setattr(MultiPoly, "exact_div", refuse)
+    assert determinant(m) == expected
+    det_sum = lgv_genfun_det(6, weights)
+    assert det_sum == paths
+    assert GenPoly.from_poly(det_sum) == lgv_genfun_xy(6)
+
+
+def test_a_singular_polynomial_matrix_gives_the_polynomial_zero():
+    for m in ([[X, Y], [X, Y]], [[X + 1, 0], [0, 0]], [[X, 2 * X], [1, 2]]):
+        det = determinant(m)
+        assert type(det) is MultiPoly and det.vars == XY and not det
+
+
+def test_mixed_int_and_polynomial_entries():
+    for m in ([[1, X, 0], [Y, 2, X * Y], [0, 1, 3]], [[1, X], [0, 2]],
+              [[0, 0, X], [0, 3, 5], [Y + 1, 1, 2]]):
+        det = determinant(m)
+        assert type(det) is MultiPoly and det.vars == XY
+        assert det == determinant_cofactor(m)
+    assert determinant([[1, X], [0, 2]]) == MultiPoly.constant(XY, 2)
 
 
 def _int_entry(rng):

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from brute_oracles import brute_genfun_U
+from brute_oracles import brute_genfun_U, final_x
 
 from asmpp.asm import asm_count_formula, genfun_doubly_refined
 from asmpp.nilp import (
@@ -58,9 +58,9 @@ def test_size2_statistics():
 
 def test_extra_step_rules():
     p = Nilp(["", "V"])   # path 1 vertical, ends x=1
-    assert p.extra == ("D", "D") and p.final_x(1) == 2
+    assert p.extra == ("D", "D") and final_x(p, 1) == 2
     p = Nilp(["", "D"])   # path 1 diagonal, ends x=2
-    assert p.extra == ("D", "V") and p.final_x(1) == 2
+    assert p.extra == ("D", "V") and final_x(p, 1) == 2
 
 
 def test_validation():

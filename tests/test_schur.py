@@ -10,6 +10,7 @@ from schur_oracles import (
     staircase_shape,
 )
 
+from asmpp import schur
 from asmpp.algebra.cyclo import CycloScalar, Q3, Q3_INV
 from asmpp.schur import (
     DyckSpec,
@@ -153,6 +154,15 @@ def test_dyck_examples():
         DyckSpec((1, -1))
     with pytest.raises(ValueError):
         DyckSpec((-1, -1))
+
+
+def test_ballot_vectors_grow_from_their_prefixes(monkeypatch):
+    # one DyckSpec per ballot vector: C_4 = 14 of the 4**4 sign vectors
+    made = []
+    spec = schur.DyckSpec
+    monkeypatch.setattr(schur, "DyckSpec", lambda eps: made.append(eps) or spec(eps))
+    assert [s.eps for s in dyck_specializations(4)] == made
+    assert len(made) == 14
 
 
 def test_dyck_values():
