@@ -268,7 +268,7 @@ SUITES = {
     "recursion": (suite_recursion, (2, 3), 7, 5),
     "zeilid": (suite_zeilid, (1, 4), 5, None),
     "a-independence": (suite_a_independence, (1, 4), 6, None),
-    "appendix-d": (suite_appendix_d, (1, 3), 7, 10),
+    "appendix-d": (suite_appendix_d, (1, 3), 11, 10),
     # n = 5 is the last n where the suite's bound 2n + 2 reaches the lowest
     # degree n(n-1)/2 of prod (u_j - u_i); from n = 6 on both sides have 0
     # terms and the check passes vacuously.

@@ -20,7 +20,10 @@ lattice-path integral is evaluated by iterated residues of its integrand,
 where `contour.integral_U` sums determinants instead.
 The antisymmetrized kernel is summed over all n! permutations of the
 w-variables (`bn_permutation_sum`), where `antisym.bn_brute` runs a DP over
-subsets of placed values.
+subsets of placed values; it and the closed forms `bn_closed_fractions`,
+`fbar_det_fractions` and `fbar_cauchy_fractions` evaluate the h-factors
+(`h1`, `hq`, `kernel_f`) in `Fraction` arithmetic, where `antisym` scales
+every point to one common denominator and works on ints.
 `ice_rule_breach` reads a grid of vertex types as arrows, independently of
 the partial-sum typing `sixvertex.asm_to_six_vertex` uses.
 `vertex_types_by_cells` is that typing cell by cell, where
@@ -39,9 +42,9 @@ from itertools import permutations
 from math import prod
 
 from asmpp import contour
-from asmpp.algebra.matrix import perm_sign
+from asmpp.algebra.matrix import determinant, perm_sign
 from asmpp.algebra.poly import MultiPoly
-from asmpp.antisym import SingularSampleError, h1, hq
+from asmpp.antisym import SingularSampleError
 from asmpp.asm import _extensions, enumerate_asms, refined_stat
 from asmpp.genpoly import GenPoly
 from asmpp.nilp import DIAG, VERT, enumerate_nilps, u_statistic
@@ -306,6 +309,65 @@ def integral_U_residue(n, form="raw"):
             spec.add_poly(contour._one_plus({ui: 1, "y": 1}))
             spec.add_poly(contour._one_plus({ui: 1}) ** (i - 2))
     return GenPoly.from_poly(contour.iterated_residue(spec))
+
+
+def h1(x, y):
+    return (x - y) * (x * y - 1)
+
+
+def hq(x, y, q):
+    return (q * x - y / q) * (q * x * y - 1 / q)
+
+
+def kernel_f(w, z, q):
+    d1 = h1(w, z)
+    dq = hq(w, z, q)
+    if not d1 or not dq:
+        raise SingularSampleError(f"h factors vanish at w={w}, z={z}")
+    return 1 / (d1 * dq)
+
+
+def bn_closed_fractions(n: int, w, z, r):
+    """`antisym.bn_closed` with every factor a `Fraction`."""
+    q = r * r
+    mat = [[kernel_f(w[i], z[j], q) for j in range(n)] for i in range(n)]
+    det = determinant(mat)
+    den = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            den *= h1(z[i], z[j]) * (1 - q * q * w[i] * w[j])
+    if not den:
+        raise SingularSampleError("denominator vanished in closed form")
+    return q ** (n * (n - 1) // 2) * det / den
+
+
+def fbar_det_fractions(n: int, w, z):
+    """det[1/h_1(w_i, z_j)] over a matrix of `Fraction` entries."""
+    mat = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            d = h1(w[i], z[j])
+            if not d:
+                raise SingularSampleError("h_1 vanishes at a sample point")
+            row.append(1 / d)
+        mat.append(row)
+    return determinant(mat)
+
+
+def fbar_cauchy_fractions(n: int, w, z):
+    """`antisym.fbar_cauchy` with every factor a `Fraction`."""
+    num = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= h1(w[i], w[j]) * h1(z[j], z[i])
+    den = Fraction(1)
+    for i in range(n):
+        for j in range(n):
+            den *= h1(w[i], z[j])
+    if not den:
+        raise SingularSampleError("h_1 vanishes at a sample point")
+    return num / den
 
 
 def bn_permutation_sum(n: int, w, z, r):

@@ -9,12 +9,17 @@ from asmpp.antisym import (
     bn_closed,
     fbar_cauchy,
     fbar_det,
+    sample_points,
+)
+from brute_oracles import (
+    bn_closed_fractions,
+    bn_permutation_sum,
+    fbar_cauchy_fractions,
+    fbar_det_fractions,
     h1,
     hq,
     kernel_f,
-    sample_points,
 )
-from brute_oracles import bn_permutation_sum
 
 
 def test_base_case():
@@ -115,3 +120,92 @@ def test_each_vanishing_h_factor_is_singular(v, i, factor):
         bn_brute(3, w, z, r)
     with pytest.raises(SingularSampleError):
         bn_permutation_sum(3, w, z, r)
+
+
+INT_ROUTES = [(bn_brute, bn_permutation_sum, True), (bn_closed, bn_closed_fractions, True),
+              (fbar_det, fbar_det_fractions, False), (fbar_cauchy, fbar_cauchy_fractions, False)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SingularSampleError:
+        return SingularSampleError
+
+
+@pytest.mark.parametrize("n, count", [(1, 12), (2, 12), (3, 10), (4, 8), (5, 4), (6, 2)])
+def test_int_routes_equal_their_fraction_oracles(n, count):
+    rng = Random(40 + n)
+    for _ in range(count):
+        w = sample_points(rng, n)
+        z = sample_points(rng, n, forbid=set(w))
+        r = Fraction(rng.randint(2, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+        for route, oracle, takes_r in INT_ROUTES:
+            args = (n, w, z, r) if takes_r else (n, w, z)
+            got = _outcome(route, *args)
+            assert got == _outcome(oracle, *args), (route.__name__, w, z, r)
+            assert got is SingularSampleError or type(got) is Fraction
+
+
+def _singular_relations():
+    for a in range(3):
+        for b in range(3):
+            yield from (("z_b=w_a", a, b), ("z_b=q^2w_a", a, b), ("w_a*z_b=1", a, b))
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        yield from (("z_a*z_b=1", a, b), ("q^2w_a*w_b=1", a, b))
+
+
+@pytest.mark.parametrize("relation, a, b", list(_singular_relations()))
+def test_int_routes_reject_exactly_the_oracles_singular_samples(relation, a, b):
+    w = [Fraction(2, 3), Fraction(-3, 5), Fraction(5, 7)]
+    z = [Fraction(7, 4), Fraction(-4, 9), Fraction(9, 2)]
+    r = Fraction(3, 2)
+    q = r * r
+    if relation == "z_b=w_a":  # h_1(w_a, z_b) = 0
+        z[b] = w[a]
+    elif relation == "z_b=q^2w_a":  # h_q(w_a, z_b) = 0
+        z[b] = q * q * w[a]
+    elif relation == "w_a*z_b=1":  # h_1(w_a, z_b) = 0
+        z[b] = 1 / w[a]
+    elif relation == "z_a*z_b=1":  # h_1(z_a, z_b) = 0
+        z[b] = 1 / z[a]
+    else:  # 1 - q^2 w_a w_b = 0
+        w[b] = 1 / (q * q * w[a])
+    rejected = set()
+    for route, oracle, takes_r in INT_ROUTES:
+        args = (3, w, z, r) if takes_r else (3, w, z)
+        got = _outcome(route, *args)
+        assert got == _outcome(oracle, *args), route.__name__
+        if got is SingularSampleError:
+            rejected.add(route.__name__)
+    # every relation zeroes a factor of the closed form's denominator
+    assert "bn_closed" in rejected
+
+
+def _fractions_made(call):
+    """The number of `Fraction` objects constructed while `call()` runs,
+    arithmetic results included."""
+    original = Fraction.__dict__["__new__"]
+    made = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        call()
+    finally:
+        Fraction.__new__ = original
+    return made
+
+
+def test_the_kernel_builds_one_fraction_per_result():
+    w = [Fraction(2, 3), Fraction(-3, 5), Fraction(5, 7), Fraction(7, 2), Fraction(-2, 9)]
+    z = [Fraction(7, 4), Fraction(-4, 9), Fraction(9, 2), Fraction(3, 8), Fraction(-8, 3)]
+    r = Fraction(7, 3)
+    assert bn_brute(5, w, z, r) == bn_closed(5, w, z, r)
+    for route, args in ((bn_brute, (5, w, z, r)), (bn_closed, (5, w, z, r)),
+                        (fbar_det, (5, w, z)), (fbar_cauchy, (5, w, z))):
+        assert _fractions_made(lambda: route(*args)) <= 1, route.__name__

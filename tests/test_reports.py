@@ -12,16 +12,17 @@ n = 6), in all three formats; integral-A and both integral-U forms at
 n = 10..12 in json; doubly-refined at n = 6 and 1..6 in json and
 pretty; the involutions, mrr, zeilid and zprime suites at their cap
 n = 5 in json; the six-vertex and recursion suites at n = 5 and 6 in
-json; and the appendix-d suite over n = 5..7 at seed 11 in json.  The
-asm, nilp and doubly-refined digests at n = 6 and 7 were recorded from
-the brute enumeration those routes ran before their DPs; the integral-A
-and integral-U digests at n = 10..12 from the MultiPoly row expansion that
-the binomial row entries replaced; the zeilid and zprime n = 5 digests from
+json; and the appendix-d suite over n = 5..7 and 8..11 at seed 11 in
+json.  The asm, nilp and doubly-refined digests at n = 6 and 7 were
+recorded from the brute enumeration those routes ran before their DPs;
+the integral-A and integral-U digests at n = 10..12 from the MultiPoly
+row expansion that the binomial row entries replaced; the zeilid and zprime n = 5 digests from
 the residue and sum routes as they stood when those limits were raised;
 the six-vertex and recursion digests at n = 5 and 6 from the partition
 sum over every listed ASM that the row-state transfer replaced; the
 appendix-d n = 5..7 digest from the n!-term antisymmetrized sum that the
-subset DP replaced.  The enumerate command
+subset DP replaced, and the 8..11 digest from the `Fraction` subset DP and
+closed forms that the scaled-int kernel replaced.  The enumerate command
 is pinned for asm, nilp and tsscpp at n = 1..5 in all three formats, for
 asm and nilp at n = 6 (the benchmark's size) in all three formats and for
 tsscpp at n = 6 in json; the nilp digests were recorded from the
@@ -97,7 +98,8 @@ def report_cases():
     for suite in ("six-vertex", "recursion"):
         for n in ("5", "6"):
             cases.append(("verify", suite, "--n", n, "--format", "json"))
-    cases.append(("verify", "appendix-d", "--n", "5..7", "--seed", "11", "--format", "json"))
+    for n_range in ("5..7", "8..11"):
+        cases.append(("verify", "appendix-d", "--n", n_range, "--seed", "11", "--format", "json"))
     for n in range(1, 6):
         for kind in ("asm", "nilp", "tsscpp"):
             for fmt in ("json", "csv", "pretty"):
@@ -690,6 +692,8 @@ DIGESTS = {
         "00c9539a10a899ed4a3e702f9f98f68405749a1f692451b1a55945c9674ec3e9",
     "verify appendix-d --n 5..7 --seed 11 --format json":
         "a01cb5dae59381249aa2a5e1cf2560683760030bf2b11c1be0d7585ccbc620ff",
+    "verify appendix-d --n 8..11 --seed 11 --format json":
+        "96d15680fc47c08a6a4d1ed532100955678c0cd00b1ff7207a9beacda74a787a",
     "verify involutions --n 5 --format json":
         "a412452c6f3370c2fa9881701ad48256dada4664186cc1660b683d5ebb7810e7",
     "verify mrr --n 5 --format json":
