@@ -29,13 +29,13 @@ binomial sum (_a_entry for A, lgv.bilinear_entry for U), and
 lgv.packed_minor_sum evaluates the sum on Kronecker-packed ints.
 
 The residue builders share one factor vocabulary: `_poly` makes a factor
-over just the variables it names (the kernel aligns every factor to the
-spec), and `_one_plus`, `_add_qkz_cross`, `_add_cauchy` and
-`_vandermonde_pairs` give the numerators 1 + c*m, the qKZ cross factors, the
-Cauchy kernel and the Vandermonde pairs.  Factors of one stage multiply in
-the order they were added, which changes only the size of the intermediate
-series: numerators go first (the kernel first costs 54% more term products
-in `homogeneous_limit_check(4)`).
+over just the variables it names (the kernel reads each factor over its own
+variables and looks up the spec's slot of each one), and `_one_plus`,
+`_add_qkz_cross`, `_add_cauchy` and `_vandermonde_pairs` give the numerators
+1 + c*m, the qKZ cross factors, the Cauchy kernel and the Vandermonde pairs.
+Factors of one stage multiply in the order they were added, which changes
+only the size of the intermediate series: numerators go first (the kernel
+first costs 54% more term products in `homogeneous_limit_check(4)`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import combinations, permutations
 
 from .algebra.matrix import perm_sign
 from .algebra.poly import MultiPoly
-from .algebra.series import ContourSideError, positive_valuation
+from .algebra.series import ContourSideError
 from .checks import check
 from .genpoly import GenPoly
 from .lgv import bilinear_entry, packed_minor_sum
@@ -80,103 +80,85 @@ class IntegrandSpec:
 
 def iterated_residue(spec: IntegrandSpec):
     """Evaluate the iterated formal residue; returns a MultiPoly in the
-    coefficient variables.  The last of u_vars is integrated first."""
-    u_vars = tuple(spec.u_vars)
-    all_vars = spec.all_vars()
+    coefficient variables.  The last of u_vars is integrated first.
 
-    # Every factor must have nonnegative exponents.  A factor is multiplied
-    # in just before its earliest-integrated variable (its last column); one
-    # free of contour variables joins the tail, which multiplies the residue.
-    stages = [[] for _ in u_vars]
-    tail = []
+    The loop runs on packed exponent vectors.  A term's exponent vector is
+    one int with a (k+1)-bit field per variable of the spec (contour
+    variables first).  A contour field holds e + 2**k, so an exponent past
+    -1 sets the field's top (guard) bit; k is wide enough for every exponent
+    from the start up to -1 and for every factor exponent, so adding a factor
+    term never carries into the next field.  A coefficient field holds the
+    plain exponent, with k sized from a degree bound: each geometric power
+    raises the total contour degree by at least 1, so at most
+    sum(-1 - start) of them fit below the cap.
+
+    Each factor is read over its own variables: once for the slot of each
+    variable it uses, its exponents, its valuation, the field widths and its
+    stage, and once to pack its terms.  A factor is multiplied in just before
+    the last contour variable it uses is integrated; the factors free of
+    contour variables form a first stage, as they commute with extraction.
+    """
+    u_vars = tuple(spec.u_vars)
+    nu = len(u_vars)
+    slot = {v: i for i, v in enumerate(spec.all_vars())}
+    starts = [-spec.denom_powers.get(v, 0) for v in u_vars]
+    budget = sum(-1 - s for s in starts)
+    span = [-1 - s for s in starts] + [0] * len(spec.coeff_vars)
+    top = [0] * len(span)
+    stages = [[] for _ in range(nu + 1)]  # stages[nu]: no contour variable
     for kind, p in spec.factors:
-        lifted = p.align(all_vars)
-        for exps in lifted.terms:
-            if any(e < 0 for e in exps):
-                raise ValueError("factors must have nonnegative exponents")
-        if kind == "geom" and not positive_valuation(lifted, u_vars):
+        # (position in p, slot, exponents) of every variable p uses
+        used = [(i, slot.get(v), column)
+                for i, (v, column) in enumerate(zip(p.vars, zip(*p.terms))) if any(column)]
+        for i, s, _ in used:
+            if s is None:
+                raise ValueError(f"variable {p.vars[i]} is in use; cannot drop")
+        if any(min(column) < 0 for *_, column in used):
+            raise ValueError("factors must have nonnegative exponents")
+        contour = [(i, s) for i, s, _ in used if s < nu]
+        if kind == "geom" and any(sum(exps[i] for i, _ in contour) < 1 for exps in p.terms):
             raise ContourSideError(
                 "geometric factor has a constant term in the contour variables"
             )
-        cols = [i for i, v in enumerate(u_vars) if lifted.degree(v) > 0]
-        if cols:
-            stages[max(cols)].append((kind, lifted))
-        else:
-            tail.append((kind, lifted))
+        for _, s, column in used:
+            e = max(column)
+            top[s] = max(top[s], e)
+            if s >= nu:
+                span[s] += e * budget if kind == "geom" else e
+        stages[max((s for _, s in contour), default=nu)].append((kind, p.terms, used))
 
-    for v in u_vars:
-        if spec.denom_powers.get(v, 0) < 1:
+    for v, s in zip(u_vars, starts):
+        if s > -1:
             raise ValueError(f"the denominator power of {v} must be at least 1")
-    starts = [-spec.denom_powers[v] for v in u_vars]
-    terms = _packed_residue(len(all_vars), starts, stages)
-
-    result = MultiPoly(spec.coeff_vars, terms)
-    for kind, p in tail:
-        if kind != "poly":
-            raise ContourSideError("geometric factor without contour variables")
-        result = result * p.align(result.vars)
-    return result
-
-
-def _packed_residue(nvars, starts, stages):
-    """The residue loop of iterated_residue on packed exponent vectors.
-
-    A term's exponent vector is one int with a (k+1)-bit field per variable
-    (contour variables first).  A contour field holds e + 2**k, so an
-    exponent past -1 sets the field's top (guard) bit; k is wide enough for
-    every exponent from the start up to -1 and for every factor exponent, so
-    adding a factor term never carries into the next field.  A coefficient
-    field holds the plain exponent, with k sized from a degree bound: each
-    geometric power raises the total contour degree by at least 1, so at
-    most sum(-1 - start) of them fit below the cap.
-
-    starts: start exponent per contour variable; stages: per contour
-    variable, ("poly" | "geom", factor lifted to all variables), integrated
-    last variable first.  Returns {coefficient exponents: coefficient}.
-    """
-    nu = len(starts)
-    budget = sum(-1 - s for s in starts)
-    span = [-1 - s for s in starts] + [0] * (nvars - nu)
-    top = [0] * nvars
-    for stage in stages:
-        for kind, lifted in stage:
-            for i, column in enumerate(zip(*lifted.terms)):
-                e = max(column)
-                top[i] = max(top[i], e)
-                if i >= nu:
-                    span[i] += e * budget if kind == "geom" else e
     widths = [max(s, t).bit_length() for s, t in zip(span, top)]
-    offs = []
-    off = 0
-    for k in widths:
-        offs.append(off)
-        off += k + 1
+    offs = [sum(widths[:i]) + i for i in range(len(widths))]  # k + 1 bits per field
     lims = [1 << k for k in widths]
     guard = sum(lim << o for lim, o in zip(lims, offs))
     contour_guard = sum(lim << o for lim, o in zip(lims[:nu], offs))
 
-    def pack(lifted):
-        return [(sum(e << o for e, o in zip(exps, offs)), c)
-                for exps, c in lifted.terms.items()]
-
     terms = {sum((s + lim) << o for s, lim, o in zip(starts, lims, offs)): 1}
-    for col in reversed(range(nu)):
-        for kind, lifted in stages[col]:
-            factor = pack(lifted)
+    for col in reversed(range(nu + 1)):
+        for kind, factor_terms, used in stages[col]:
+            factor = [(sum(exps[i] << offs[s] for i, s, _ in used), c)
+                      for exps, c in factor_terms.items()]
             if kind == "poly":
                 terms = _packed_mul(terms, factor, guard, contour_guard)
                 continue
+            if col == nu:  # only the zero polynomial gets here
+                raise ContourSideError("geometric factor without contour variables")
             acc = terms
             while acc:
                 acc = _packed_mul(acc, factor, guard, contour_guard)
                 for key, c in acc.items():
                     terms[key] = terms.get(key, 0) + c
             terms = {key: c for key, c in terms.items() if c}
-        lim, o = lims[col], offs[col]
-        mask, code = (2 * lim - 1) << o, (lim - 1) << o  # the code of -1
-        terms = {key: c for key, c in terms.items() if key & mask == code}
-    coeff = [(offs[i], lims[i] - 1) for i in range(nu, nvars)]
-    return {tuple((key >> o) & m for o, m in coeff): c for key, c in terms.items()}
+        if col < nu:
+            lim, o = lims[col], offs[col]
+            mask, code = (2 * lim - 1) << o, (lim - 1) << o  # the code of -1
+            terms = {key: c for key, c in terms.items() if key & mask == code}
+    coeff = [(offs[i], lims[i] - 1) for i in range(nu, len(span))]
+    return MultiPoly(spec.coeff_vars,
+                     {tuple((key >> o) & m for o, m in coeff): c for key, c in terms.items()})
 
 
 def _packed_mul(terms, factor, guard, contour_guard):
@@ -196,7 +178,7 @@ def _packed_mul(terms, factor, guard, contour_guard):
 
 def _poly(*terms) -> MultiPoly:
     """The sum of c * prod v**e over terms (c, {v: e}), over just the
-    variables they name; iterated_residue aligns every factor itself."""
+    variables they name; iterated_residue finds each one's slot itself."""
     variables = tuple(dict.fromkeys(v for _, mono in terms for v in mono))
     out = {}
     for c, mono in terms:

@@ -23,7 +23,8 @@ class GenPoly:
     @classmethod
     def from_poly(cls, poly) -> "GenPoly":
         """The GenPoly of a MultiPoly in x and y (exponents read by variable
-        name) or of a scalar constant; a non-integer coefficient raises
+        name; other variables must be unused) or of a scalar constant; a
+        non-integer coefficient or a term in another variable raises
         ValueError."""
         if not isinstance(poly, MultiPoly):
             poly = MultiPoly((), {(): poly})
@@ -32,7 +33,9 @@ class GenPoly:
             value = Fraction(coeff)
             if value.denominator != 1:
                 raise ValueError(f"coefficient {value} is not an integer")
-            named = dict(zip(poly.vars, exps))
+            named = {v: e for v, e in zip(poly.vars, exps) if e}
+            if other := set(named) - {"x", "y"}:
+                raise ValueError(f"variable {min(other)} is not x or y")
             result.add_term(named.get("x", 0), named.get("y", 0), int(value))
         return result
 

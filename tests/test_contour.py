@@ -40,11 +40,40 @@ def test_iterated_residue_basics():
     spec.add_poly(MultiPoly(("u1", "u2"), {(0, 1): 1, (1, 0): -1}))
     assert iterated_residue(spec) == 0
 
+    # no contour variable: the factors are just multiplied
+    spec = IntegrandSpec((), {}, coeff_vars=("x",))
+    spec.add_poly(MultiPoly(("x",), {(0,): 1, (1,): 1}))
+    assert iterated_residue(spec) == MultiPoly(("x",), {(0,): 1, (1,): 1})
+
+    # u1**-2 u2**-1 (1 + x u1) (y**2 + 3x) / (1 - u1 u2): the contour-free
+    # factor sits between contour factors and multiplies the residue x
+    spec = IntegrandSpec(("u1", "u2"), {"u1": 2, "u2": 1})
+    spec.add_poly(MultiPoly(("u1", "x"), {(0, 0): 1, (1, 1): 1}))
+    spec.add_poly(MultiPoly(("y", "x"), {(2, 0): 1, (0, 1): 3}))
+    spec.add_geom(MultiPoly(("u2", "u1"), {(1, 1): 1}))
+    expected = MultiPoly(("x", "y"), {(1, 2): 1, (2, 0): 3})
+    assert iterated_residue(spec) == reference_residue(spec) == expected
+
 
 def test_iterated_residue_rejects_bad_geometric():
     spec = IntegrandSpec(("u1",), {"u1": 1}, coeff_vars=())
     spec.add_geom(MultiPoly.constant(("u1",), 1) + MultiPoly.variable(("u1",), "u1"))
     with pytest.raises(ContourSideError):
+        iterated_residue(spec)
+
+    # 1/(1 - 0) and 1/(1 - x) have no term in a contour variable
+    for g, message in ((MultiPoly(("u1",)), "without contour variables"),
+                       (MultiPoly(("x",), {(1,): 1}), "constant term")):
+        spec = IntegrandSpec(("u1",), {"u1": 1}, coeff_vars=("x",))
+        spec.add_poly(MultiPoly(("u1", "x"), {(0, 0): 1, (1, 1): 1}))
+        spec.add_geom(g)
+        with pytest.raises(ContourSideError, match=message):
+            iterated_residue(spec)
+
+    # a factor in a variable that the spec does not declare
+    spec = IntegrandSpec(("u1",), {"u1": 1}, coeff_vars=("x",))
+    spec.add_poly(MultiPoly(("u1", "z"), {(0, 0): 1, (1, 1): 1}))
+    with pytest.raises(ValueError, match="variable z is in use"):
         iterated_residue(spec)
 
 
@@ -200,8 +229,8 @@ def against_reference(monkeypatch):
     return specs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_kernel_matches_reference_on_integral_routes(against_reference, n):
+def _residue_routes(n):
+    """Every builder that evaluates its integrand with iterated_residue."""
     rational = [Fraction(3, 7), Fraction(-2, 5), Fraction(5, 2)][: n - 1]
     integral_U_residue(n, "raw")
     integral_U_residue(n, "after-u1")
@@ -212,7 +241,27 @@ def test_kernel_matches_reference_on_integral_routes(against_reference, n):
     zeilid_check(n, 1, phi_bilinear(n))
     homogeneous_limit_check(n)
     assert even_partition_sum_check(n, 2 * n + 2)["pass"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_matches_reference_on_integral_routes(against_reference, n):
+    _residue_routes(n)
     assert against_reference
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_reads_factors_without_multipoly_arithmetic(against_reference, monkeypatch, n):
+    # the kernel reads each factor's own terms: no factor is re-expressed
+    # over the spec's variables and no product is taken as a MultiPoly
+    _residue_routes(n)
+    expected = [reference_residue(spec) for spec in against_reference]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("MultiPoly method called")
+
+    for name in ("align", "degree", "__mul__", "__rmul__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    assert [iterated_residue(spec) for spec in against_reference] == expected
 
 
 def test_kernel_window_edges():

@@ -167,3 +167,8 @@ def test_genpoly_from_poly():
         GenPoly.from_poly(half)
     with pytest.raises(ValueError):
         GenPoly.from_poly(Fraction(1, 2))
+    # a variable other than x and y must be unused, not read as exponent 0
+    with pytest.raises(ValueError, match="variable u"):
+        GenPoly.from_poly(MultiPoly(("u", "x"), {(3, 0): 5, (0, 0): 5}))
+    unused = MultiPoly(("u", "x", "y"), {(0, 1, 2): 3})
+    assert GenPoly.from_poly(unused).coeffs == {(1, 2): 3}
